@@ -3,12 +3,7 @@
 Everything here is called thousands of times per optimization run: the
 partial reflection of a 4x4 matrix, the hyperspherical chart for pure-state
 vectors, and the one-dimensional solve for the largest feasible separable
-weight of a fixed pure part.  The functions are written in plain
-numba-compatible numpy and compiled with ``@njit`` at import time when the
-optional numba package is installed; without it, or with the environment
-variable ``QPAIR_PURE_NUMPY=1`` set before import, the identical source
-runs uncompiled.  The compiled eigensolver may round differently in the
-last ulp, so the two backends agree to rounding level, not bit for bit.
+weight of a fixed pure part.
 
 The feasible set of the weight lam is an interval: the smallest eigenvalue
 of an affine Hermitian pencil is a concave function of lam, and so is the
@@ -21,12 +16,9 @@ pins the upper boundary.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 __all__ = [
-    "BACKEND",
     "reflect4",
     "chart_amplitudes",
     "lam_margin",
@@ -43,10 +35,9 @@ _GOLDEN = 0.6180339887498949
 def reflect4(m):
     """Partial reflection of a 4x4 matrix: 1 (x) tr_1(m) - m.
 
-    Written out entry by entry (no kron) so it compiles to straight-line
-    code.  Equals the density matrix of the parameter map
-    (s, t, C) -> (-s, t, -C) and shares its spectrum with the partial
-    transpose.
+    Written out entry by entry, with no Kronecker product.  Equals the
+    density matrix of the parameter map (s, t, C) -> (-s, t, -C) and
+    shares its spectrum with the partial transpose.
     """
     out = -m.copy()
     r00 = m[0, 0] + m[2, 2]
@@ -104,33 +95,60 @@ def _feasible(rho, rrho, proj, rproj, lam, feas_tol):
     return m >= -(feas_tol * lam + _FLOOR)
 
 
-def _max_margin(rho, rrho, proj, rproj, tilt):
-    """Maximize lam_margin + tilt*lam over lam in (0, 1] by golden section.
+def _golden_max(f, steps):
+    """Maximize a unimodal f over (0, 1] by ``steps`` golden-section steps.
 
-    Valid because the margin is concave in lam.  Returns (argmax, value);
-    a nonnegative value means some weight is feasible at slack ``tilt``.
+    Returns (argmax, f(argmax)).
     """
     a = 1e-9
     b = 1.0
     c1 = b - _GOLDEN * (b - a)
     c2 = a + _GOLDEN * (b - a)
-    f1 = lam_margin(rho, rrho, proj, rproj, c1) + tilt * c1
-    f2 = lam_margin(rho, rrho, proj, rproj, c2) + tilt * c2
-    for _ in range(70):
+    f1 = f(c1)
+    f2 = f(c2)
+    for _ in range(steps):
         if f1 < f2:
             a = c1
             c1 = c2
             f1 = f2
             c2 = a + _GOLDEN * (b - a)
-            f2 = lam_margin(rho, rrho, proj, rproj, c2) + tilt * c2
+            f2 = f(c2)
         else:
             b = c2
             c2 = c1
             f2 = f1
             c1 = b - _GOLDEN * (b - a)
-            f1 = lam_margin(rho, rrho, proj, rproj, c1) + tilt * c1
+            f1 = f(c1)
     best = 0.5 * (a + b)
-    return best, lam_margin(rho, rrho, proj, rproj, best) + tilt * best
+    return best, f(best)
+
+
+def _bisect(ok, lo, hi, tol):
+    """Bisect [lo, hi] for the upper end of the interval where ok holds,
+    given that it holds at lo; returns the last point found to hold."""
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if ok(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def _solve_weight(rho, rrho, proj, rproj, feas_tol, lam_tol):
+    """(largest feasible weight, best tilted margin); the weight is 0.0
+    when none is feasible, and only then is the margin meaningful."""
+    if _feasible(rho, rrho, proj, rproj, 1.0, feas_tol):
+        return 1.0, 0.0
+    lo, val = _golden_max(
+        lambda lam: lam_margin(rho, rrho, proj, rproj, lam) + feas_tol * lam, 70
+    )
+    if val < -_FLOOR:
+        return 0.0, val
+    lam = _bisect(
+        lambda mid: _feasible(rho, rrho, proj, rproj, mid, feas_tol), lo, 1.0, lam_tol
+    )
+    return lam, val
 
 
 def max_feasible_lambda(rho, rrho, proj, rproj, feas_tol, lam_tol):
@@ -138,23 +156,9 @@ def max_feasible_lambda(rho, rrho, proj, rproj, feas_tol, lam_tol):
 
     Returns 0.0 when no positive weight is feasible.  feas_tol is the
     eigenvalue slack allowed on the normalized separable part (hence
-    scaled by lam); lam_tol is the bisection resolution.  The feasible
-    set is an interval, possibly a single point; golden section on the
-    concave margin finds a member, bisection pins the upper boundary.
+    scaled by lam); lam_tol is the bisection resolution.
     """
-    if _feasible(rho, rrho, proj, rproj, 1.0, feas_tol):
-        return 1.0
-    lo, val = _max_margin(rho, rrho, proj, rproj, feas_tol)
-    if val < -_FLOOR:
-        return 0.0
-    hi = 1.0
-    while hi - lo > lam_tol:
-        mid = 0.5 * (lo + hi)
-        if _feasible(rho, rrho, proj, rproj, mid, feas_tol):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    return _solve_weight(rho, rrho, proj, rproj, feas_tol, lam_tol)[0]
 
 
 def neg_lambda_objective(th, u_support, rho, rrho, feas_tol, lam_tol):
@@ -171,34 +175,7 @@ def neg_lambda_objective(th, u_support, rho, rrho, feas_tol, lam_tol):
     psi = u_support @ amp
     proj = np.outer(psi, np.conj(psi))
     rproj = reflect4(proj)
-    if _feasible(rho, rrho, proj, rproj, 1.0, feas_tol):
-        return -1.0
-    lo, val = _max_margin(rho, rrho, proj, rproj, feas_tol)
-    if val < -_FLOOR:
+    lam, val = _solve_weight(rho, rrho, proj, rproj, feas_tol, lam_tol)
+    if lam == 0.0:
         return -val
-    hi = 1.0
-    while hi - lo > lam_tol:
-        mid = 0.5 * (lo + hi)
-        if _feasible(rho, rrho, proj, rproj, mid, feas_tol):
-            lo = mid
-        else:
-            hi = mid
-    return -lo
-
-
-BACKEND = "numpy"
-if os.environ.get("QPAIR_PURE_NUMPY", "").strip() in ("", "0"):
-    try:
-        from numba import njit
-    except ImportError:
-        pass
-    else:
-        # leaf functions first so the callers pick up compiled versions
-        reflect4 = njit(cache=True)(reflect4)
-        chart_amplitudes = njit(cache=True)(chart_amplitudes)
-        lam_margin = njit(cache=True)(lam_margin)
-        _feasible = njit(cache=True)(_feasible)
-        _max_margin = njit(cache=True)(_max_margin)
-        max_feasible_lambda = njit(cache=True)(max_feasible_lambda)
-        neg_lambda_objective = njit(cache=True)(neg_lambda_objective)
-        BACKEND = "numba"
+    return -lam

@@ -199,8 +199,6 @@ def _initial_frame(pu, pv, pm):
 def rank2_canonical(
     state: TwoQubitState,
     tol: float = 1e-9,
-    restarts: int = 32,
-    seed: int = 0,
     return_frame: bool = False,
 ):
     """Recover the generic-form parameters of a rank-2 state.
@@ -209,8 +207,8 @@ def rank2_canonical(
     the frame in which the state matches the rank-2 family construction;
     the per-frame parameters are not free but extracted from the support
     projector and linear least squares, so the search only has to find the
-    frame.  The first start is an analytic alignment that already solves
-    generic inputs; the remaining starts are random.
+    frame.  An analytic alignment already solves the input up to rounding;
+    one Nelder-Mead run from it polishes the frame.
 
     Returns the ``Rank2Params``, or ``(params, o_ee, o_nn)`` with
     ``return_frame=True``, where applying (o_ee, o_nn) to the input
@@ -247,32 +245,20 @@ def rank2_canonical(
         return float(diff @ diff)
 
     oe_init, on_init = _initial_frame(pu0, pv0, pm0)
-    starts = [
-        np.concatenate(
-            [
-                Rotation.from_matrix(oe_init).as_rotvec(),
-                Rotation.from_matrix(on_init).as_rotvec(),
-            ]
-        )
-    ]
-    rng = np.random.default_rng(seed)
-    for _ in range(max(0, restarts - 1)):
-        starts.append(rng.uniform(-math.pi, math.pi, 6))
+    theta0 = np.concatenate(
+        [
+            Rotation.from_matrix(oe_init).as_rotvec(),
+            Rotation.from_matrix(on_init).as_rotvec(),
+        ]
+    )
+    res = minimize(
+        objective,
+        theta0,
+        method="Nelder-Mead",
+        options={"maxiter": 2000, "maxfev": 3000, "xatol": 1e-13, "fatol": 1e-22},
+    )
 
-    best = None
-    for theta0 in starts:
-        res = minimize(
-            objective,
-            theta0,
-            method="Nelder-Mead",
-            options={"maxiter": 2000, "maxfev": 3000, "xatol": 1e-13, "fatol": 1e-22},
-        )
-        if best is None or res.fun < best.fun:
-            best = res
-        if best.fun < 1e-16:
-            break
-
-    oe, on = frame_of(best.x)
+    oe, on = frame_of(res.x)
     params, diff = mismatch(oe, on)
     # quotient the discrete frame symmetries (exact integer rotations)
     if params[1] > params[0] + 1e-9:
@@ -285,8 +271,7 @@ def rank2_canonical(
     residual = float(np.max(np.abs(diff)))
     if residual > 1e-6:
         raise ConvergenceError(
-            f"rank-2 canonicalization residual {residual:.3e} above 1e-6 "
-            f"after {len(starts)} starts",
+            f"rank-2 canonicalization residual {residual:.3e} above 1e-6",
             residual=residual,
         )
 

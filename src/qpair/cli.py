@@ -111,6 +111,7 @@ def _require_valid(state, tol):
             f"(minimum eigenvalue {verdict.margins['min_eigenvalue']:.6g})",
             min_eigenvalue=verdict.margins["min_eigenvalue"],
         )
+    return verdict
 
 
 def _margins(mapping):
@@ -131,7 +132,7 @@ def _decomposition_payload(dec):
     }
 
 
-def _family_payload(state, tol):
+def _family_payload(state, tol, rank):
     if float(np.max(np.abs(state.s))) <= tol and float(np.max(np.abs(state.t))) <= tol:
         if float(np.max(np.abs(state.C))) <= tol:
             return {"name": "chaotic"}
@@ -147,7 +148,6 @@ def _family_payload(state, tol):
             "sign": float(form.sign),
             "c": [float(v) for v in c],
         }
-    rank = purity_rank(state, tol)
     if rank.pure:
         return {"name": "generic_pure", "p": float(np.linalg.norm(state.s))}
     detected = _detect_werner_second(state)
@@ -231,8 +231,7 @@ def invariants(input_pos, input_opt, output, tol, pretty):
 def classify(input_pos, input_opt, output, tol, pretty):
     """Entanglement, separability, rank, and family detection."""
     state = _load(input_pos, input_opt)
-    _require_valid(state, tol)
-    validity = is_state(state, tol)
+    validity = _require_valid(state, tol)
     separable = is_separable(state, tol)
     rank = purity_rank(state, tol)
     report = {
@@ -243,7 +242,7 @@ def classify(input_pos, input_opt, output, tol, pretty):
         "separability_margins": _margins(separable.margins),
         "rank": int(rank.rank),
         "pure": bool(rank.pure),
-        "family": _family_payload(state, tol),
+        "family": _family_payload(state, tol, rank),
     }
     _finish("classify", state, {"tol": tol}, report, output, pretty)
 

@@ -173,22 +173,8 @@ def degree_werner_second(x: float, p: float) -> WernerSecondDegree:
             lo, hi = found, prev
         else:
             # interval narrower than the scan: golden-section the minimum
-            golden = 0.6180339887498949
-            a, b = 1e-9, 1.0
-            c1 = b - golden * (b - a)
-            c2 = a + golden * (b - a)
-            f1, f2 = gap(c1), gap(c2)
-            for _ in range(90):
-                if f1 > f2:
-                    a, c1, f1 = c1, c2, f2
-                    c2 = a + golden * (b - a)
-                    f2 = gap(c2)
-                else:
-                    b, c2, f2 = c2, c1, f1
-                    c1 = b - golden * (b - a)
-                    f1 = gap(c1)
-            qm = 0.5 * (a + b)
-            gm = gap(qm)
+            qm, neg_gm = _kernels._golden_max(lambda q0: -gap(q0), 90)
+            gm = -neg_gm
             if gm > 1e-12:
                 raise ConvergenceError(
                     f"no feasible q0 for x = {x}, p = {p} (minimal gap {gm:.3e})",
@@ -199,13 +185,7 @@ def degree_werner_second(x: float, p: float) -> WernerSecondDegree:
                 lo = hi = qm
             else:
                 lo, hi = qm, 1.0
-        while hi - lo > 1e-10:
-            mid = 0.5 * (lo + hi)
-            if gap(mid) <= 0.0:
-                lo = mid
-            else:
-                hi = mid
-        q0 = lo
+        q0 = _kernels._bisect(lambda q0: gap(q0) <= 0.0, lo, hi, 1e-10)
     p0 = math.sqrt(max(0.0, 1.0 - q0 * q0))
     s_val = 1.0 - u / q0
     return WernerSecondDegree(S=min(1.0, max(0.0, s_val)), q0=q0, p0=p0)
@@ -403,6 +383,17 @@ def _sep_margins(sep_rho):
     return {"sep_min_eigenvalue": pos, "sep_reflected_min_eigenvalue": ppt}
 
 
+def _separable_split(state, rho):
+    """The trivial split of a separable state: all weight separable."""
+    return LSDecomposition(
+        lambda_=1.0,
+        sep=state,
+        pure=None,
+        margins=_sep_margins(rho),
+        objective_history=((0, 1.0),),
+    )
+
+
 def ls_optimize(
     state: TwoQubitState,
     restarts: int = 64,
@@ -428,13 +419,7 @@ def ls_optimize(
         raise PreconditionError("ls_optimize requires a valid state")
     rho = to_density_matrix(state)
     if is_separable(state).decision:
-        return LSDecomposition(
-            lambda_=1.0,
-            sep=state,
-            pure=None,
-            margins=_sep_margins(rho),
-            objective_history=((0, 1.0),),
-        )
+        return _separable_split(state, rho)
     eigs, vecs = np.linalg.eigh(rho)
     rank = int(np.sum(eigs > 1e-9))
     if rank == 1:
@@ -577,14 +562,7 @@ def degree(
     """
     sep_verdict = is_separable(state, tol)
     if sep_verdict.decision:
-        rho = to_density_matrix(state)
-        dec = LSDecomposition(
-            lambda_=1.0,
-            sep=state,
-            pure=None,
-            margins=_sep_margins(rho),
-            objective_history=((0, 1.0),),
-        )
+        dec = _separable_split(state, to_density_matrix(state))
         return DegreeResult(S=1.0, method="SeparableShortcut", decomposition=dec)
     if float(np.max(np.abs(state.s))) <= 1e-12 and float(np.max(np.abs(state.t))) <= 1e-12:
         loc = local_invariants(state)

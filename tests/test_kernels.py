@@ -4,13 +4,8 @@ The Werner(0.6) + singlet pair gives a fully hand-computable pencil: in
 the Bell eigenbasis the four constraint eigenvalues at weight lam are
 (lam - 0.3), 0.1, (0.3 - 0.5 lam), and (0.5 lam - 0.1), so the margin and
 the maximal feasible weight (0.6) are known exactly.  The kernels are
-tested against those numbers, then against the pure-numpy backend for
-bit-identical agreement.
+tested against those numbers.
 """
-
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -25,7 +20,6 @@ from qpair import (
     to_density_matrix,
 )
 from qpair._kernels import (
-    BACKEND,
     chart_amplitudes,
     lam_margin,
     max_feasible_lambda,
@@ -159,40 +153,3 @@ def test_neg_lambda_objective_full_feasibility():
     )
     assert obj == -1.0
 
-
-def test_pure_numpy_backend_matches_on_pinned_solves():
-    # bisection outputs are grid points, stable across backends; raw
-    # margin values are only rounding-level identical and are not pinned
-    code = """
-import numpy as np
-from qpair import Werner, construct_family, pure_projector, to_density_matrix
-from qpair._kernels import BACKEND, max_feasible_lambda, neg_lambda_objective, reflect4
-singlet = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0)
-th = np.array([np.pi / 2, np.pi / 4, 0.0, 0.0, np.pi, 0.0])
-rho = to_density_matrix(construct_family(Werner(0.6)))
-proj = pure_projector(singlet)
-lam = max_feasible_lambda(rho, reflect4(rho), proj, reflect4(proj), 1e-10, 1e-8)
-obj = neg_lambda_objective(th, np.eye(4, dtype=complex), rho, reflect4(rho), 1e-10, 1e-8)
-print(BACKEND)
-print(repr(float(lam)))
-print(repr(float(obj)))
-"""
-    env = dict(os.environ, QPAIR_PURE_NUMPY="1")
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
-    ).stdout.split()
-    assert out[0] == "numpy"
-
-    rho, rrho, proj, rproj = _werner_pencil()
-    lam = max_feasible_lambda(rho, rrho, proj, rproj, 1e-10, 1e-8)
-    obj = neg_lambda_objective(_SINGLET_TH, np.eye(4, dtype=complex), rho, rrho, 1e-10, 1e-8)
-    assert float(out[1]) == lam
-    assert float(out[2]) == obj
-
-
-def test_backend_reports_numba_by_default():
-    # numba is an optional extra; without it the module falls back to numpy
-    pytest.importorskip("numba")
-    if os.environ.get("QPAIR_PURE_NUMPY", "").strip() not in ("", "0"):
-        pytest.skip("suite running with the pure-numpy backend forced")
-    assert BACKEND == "numba"
