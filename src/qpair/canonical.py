@@ -98,7 +98,7 @@ def pure_canonical(state: TwoQubitState, tol: float = 1e-9) -> float:
     C = diag(-1, -q, -q) with q = sqrt(1 - p^2); p = |s| labels the whole
     local orbit.  |t| = |s| and c = (1, q, q) are asserted, not assumed.
     """
-    if not purity_rank(state).pure:
+    if not purity_rank(state, tol).pure:
         raise PreconditionError("pure_canonical requires a pure state")
     p = float(np.linalg.norm(state.s))
     t_norm = float(np.linalg.norm(state.t))

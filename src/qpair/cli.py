@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from .canonical import diagonalize_cross, pure_canonical, rank2_canonical
 from .classify import is_entangled, is_separable, is_state, purity_rank
-from .degree import _detect_werner_second, degree, ls_optimize
+from .degree import _detect_werner_second, _pauli_vectors_vanish, degree, ls_optimize
 from .errors import QpairError, StateFileError, ValidityError
 from .families import (
     Bell,
@@ -133,7 +133,7 @@ def _decomposition_payload(dec):
 
 
 def _family_payload(state, tol, rank):
-    if float(np.max(np.abs(state.s))) <= tol and float(np.max(np.abs(state.t))) <= tol:
+    if _pauli_vectors_vanish(state, tol):
         if float(np.max(np.abs(state.C))) <= tol:
             return {"name": "chaotic"}
         form = diagonalize_cross(state)
@@ -263,7 +263,7 @@ def canonical(input_pos, input_opt, output, tol, pretty):
     }
     rank = purity_rank(state, tol)
     if rank.pure:
-        report["pure"] = {"p": pure_canonical(state)}
+        report["pure"] = {"p": pure_canonical(state, tol)}
     elif rank.rank == 2:
         params = rank2_canonical(state, tol)
         report["rank2"] = {
@@ -309,10 +309,10 @@ def degree_cmd(input_pos, input_opt, output, tol, pretty, restarts, seed):
 @click.option("--seed", type=int, default=0, show_default=True, help="Optimizer seed.")
 @_guarded
 def decompose(input_pos, input_opt, output, tol, pretty, restarts, seed):
-    """Best separable-plus-pure split found by the optimizer."""
+    """Best separable-plus-pure split: exact at rank 2, searched at ranks 3-4."""
     state = _load(input_pos, input_opt)
     _require_valid(state, tol)
-    dec = ls_optimize(state, restarts=restarts, seed=seed)
+    dec = ls_optimize(state, restarts=restarts, seed=seed, tol=tol)
     _finish(
         "decompose", state, {"tol": tol, "restarts": restarts, "seed": seed},
         _decomposition_payload(dec), output, pretty,

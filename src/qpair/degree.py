@@ -2,10 +2,12 @@
 
 The degree S of a state is the largest weight lambda such that the state
 splits as lambda * (separable) + (1 - lambda) * (pure).  Four families have
-closed forms; everything else goes to a numerical optimizer over the pure
-part whose result is a certified lower bound (every feasible split
-witnesses lambda <= S).  The closed forms and the optimizer double as
-cross-checks for each other.
+closed forms.  ``ls_optimize`` computes the split itself: separable and pure
+inputs are immediate, an entangled rank-2 state has an exact
+one-dimensional solve over the product states of its support, and ranks 3
+and 4 go to a numerical search over the pure part whose result is a
+certified lower bound (every feasible split witnesses lambda <= S).  The
+closed forms and ``ls_optimize`` double as cross-checks for each other.
 """
 
 from __future__ import annotations
@@ -46,7 +48,12 @@ __all__ = [
     "degree",
 ]
 
+# eigenvalue slack allowed on the normalized separable part of a split
 _FEAS_TOL = 1e-10
+# resolution of the weight bisection in the rank-3/4 search
+_LAM_TOL = 1e-6
+# golden-section steps of the rank-2 mixture weight: 0.618^70 < 1e-14
+_GOLDEN_STEPS = 70
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,15 +113,20 @@ def degree_werner(x: float) -> float:
     return 1.5 * (1.0 - x)
 
 
-def degree_werner_first(state: TwoQubitState) -> float:
+def _pauli_vectors_vanish(state: TwoQubitState, tol: float) -> bool:
+    """s = t = 0 at ``tol``: the test for the vanishing-Pauli-vector family."""
+    return float(np.max(np.abs(state.s))) <= tol and float(np.max(np.abs(state.t))) <= tol
+
+
+def degree_werner_first(state: TwoQubitState, tol: float = DEFAULT_TOL) -> float:
     """Closed form for states with vanishing Pauli vectors.
 
     S = 1 when det C >= 0 or the trace modulus of C is at most 1, else
-    3/2 - (1/2) Spur|C|.
+    3/2 - (1/2) Spur|C|.  ``tol`` decides s = t = 0 and validity.
     """
-    if float(np.max(np.abs(state.s))) > 1e-12 or float(np.max(np.abs(state.t))) > 1e-12:
+    if not _pauli_vectors_vanish(state, tol):
         raise PreconditionError("degree_werner_first requires s = t = 0")
-    if not is_state(state).decision:
+    if not is_state(state, tol).decision:
         raise PreconditionError("degree_werner_first requires a valid state")
     det_c = local_invariants(state).a3_1
     tm = trace_modulus(state.C)
@@ -255,12 +267,7 @@ def rank2_separable_pures(gamma1: float, gamma2: float):
     )
 
 
-def ls_lambda_for_pure(
-    state: TwoQubitState,
-    psi,
-    tol: float = 1e-6,
-    feas_tol: float = _FEAS_TOL,
-) -> float:
+def ls_lambda_for_pure(state: TwoQubitState, psi) -> float:
     """Largest lambda whose residual (state - (1-lambda) |psi><psi|)/lambda
     is a separable state; 0 when no positive weight works."""
     if not is_state(state).decision:
@@ -270,11 +277,11 @@ def ls_lambda_for_pure(
     rrho = _kernels.reflect4(rho)
     proj = pure_projector(psi)
     rproj = _kernels.reflect4(proj)
-    lam = float(_kernels.max_feasible_lambda(rho, rrho, proj, rproj, feas_tol, tol))
+    lam = float(_kernels.max_feasible_lambda(rho, rrho, proj, rproj, _FEAS_TOL, _LAM_TOL))
     if lam > 0.0:
         # re-check the endpoint: bisection assumed interval feasibility
         margin = float(_kernels.lam_margin(rho, rrho, proj, rproj, lam))
-        if margin < -(feas_tol * lam + 1e-13):
+        if margin < -(_FEAS_TOL * lam + 1e-13):
             raise NumericalInconsistencyError(
                 f"endpoint lambda = {lam:.9g} re-check failed with margin {margin:.3e}"
             )
@@ -325,54 +332,6 @@ def _support_product_states(u_support):
     return [v / np.linalg.norm(v) for v in vectors]
 
 
-def _rank2_structured_seeds(u_support, rho):
-    """Chart seeds from exact rank-one-residual splits of a rank-2 state.
-
-    For separable sigma supported inside the state, rho - lam sigma drops
-    to rank one at the smallest positive root of its determinant, which
-    is quadratic in lam on the 2x2 support block; the leftover eigenvector
-    is then the only possible pure part at that weight.  The two product
-    states of the support and their pairwise mixtures supply candidate
-    sigmas; the three best weights give the seeds.
-    """
-    rho2 = u_support.conj().T @ rho @ u_support
-    points = [u_support.conj().T @ psi for psi in _support_product_states(u_support)]
-    sigmas = [np.outer(q, q.conj()) for q in points]
-    if len(sigmas) == 2:
-        for mu in np.linspace(0.1, 0.9, 9):
-            sigmas.append(mu * sigmas[0] + (1.0 - mu) * sigmas[1])
-    ranked = []
-    for sigma in sigmas:
-        quad_a = float(np.real(_det2(sigma)))
-        quad_b = -float(
-            np.real(
-                rho2[0, 0] * sigma[1, 1]
-                + rho2[1, 1] * sigma[0, 0]
-                - rho2[0, 1] * sigma[1, 0]
-                - rho2[1, 0] * sigma[0, 1]
-            )
-        )
-        quad_c = float(np.real(_det2(rho2)))
-        if abs(quad_a) <= 1e-14:
-            if quad_b >= -1e-14:
-                continue
-            lam = -quad_c / quad_b
-        else:
-            disc = quad_b * quad_b - 4.0 * quad_a * quad_c
-            if disc < 0.0:
-                continue
-            lam = (-quad_b - math.sqrt(disc)) / (2.0 * quad_a)
-        if not 0.0 < lam <= 1.0 + 1e-12:
-            continue
-        residual = rho2 - lam * sigma
-        vals, vecs = np.linalg.eigh(residual)
-        if vals[1] <= 1e-12:
-            continue
-        ranked.append((min(lam, 1.0), _angles_from_amplitudes(vecs[:, 1])))
-    ranked.sort(key=lambda item: -item[0])
-    return [th for _, th in ranked[:3]]
-
-
 def _chaotic_state():
     return TwoQubitState(s=np.zeros(3), t=np.zeros(3), C=np.zeros((3, 3)))
 
@@ -394,34 +353,74 @@ def _separable_split(state, rho):
     )
 
 
+def _rank2_split(rho, eigs, vecs):
+    """The exact best split of an entangled rank-2 state.
+
+    A separable part must lie in the two-dimensional support, where the
+    separable states are exactly the mixtures sigma(mu) of the support's
+    product states.  In the support basis rho is rho2 = diag(eigs), and
+    the largest weight with rho2 - lam sigma(mu) positive is
+    1 / lambda_max(rho2^(-1/2) sigma(mu) rho2^(-1/2)).  That weight is
+    quasi-concave in mu, so golden section and both endpoints find its
+    maximum; the residual there has rank one and its range is the pure part.
+    """
+    u_support = vecs[:, 2:]
+    points = [u_support.conj().T @ psi for psi in _support_product_states(u_support)]
+    q0, q1 = points[0], points[-1]
+    w0, w1 = q0 / np.sqrt(eigs[2:]), q1 / np.sqrt(eigs[2:])
+
+    def weight(mu):
+        whitened = mu * np.outer(w0, w0.conj()) + (1.0 - mu) * np.outer(w1, w1.conj())
+        return 1.0 / float(np.linalg.eigvalsh(whitened)[1])
+
+    mu, lam = max(
+        (_kernels._golden_max(weight, _GOLDEN_STEPS), (0.0, weight(0.0)), (1.0, weight(1.0))),
+        key=lambda cand: cand[1],
+    )
+    sigma = mu * np.outer(q0, q0.conj()) + (1.0 - mu) * np.outer(q1, q1.conj())
+    residual = np.diag(eigs[2:]) - lam * sigma
+    psi = u_support @ np.linalg.eigh(residual)[1][:, 1]
+    sep_rho = (rho - (1.0 - lam) * np.outer(psi, psi.conj())) / lam
+    return LSDecomposition(
+        lambda_=lam,
+        sep=from_density_matrix(sep_rho, tol=1e-7),
+        pure=fix_global_phase(psi),
+        margins=_sep_margins(sep_rho),
+        objective_history=((0, lam),),
+    )
+
+
 def ls_optimize(
     state: TwoQubitState,
     restarts: int = 64,
-    tol: float = 1e-6,
     seed: int = 0,
-    feas_tol: float = _FEAS_TOL,
+    tol: float = DEFAULT_TOL,
 ) -> LSDecomposition:
-    """Maximize the separable weight over pure parts by multistart search.
+    """The best separable-plus-pure split the package can certify.
 
-    The pure part is restricted to the support of the state (a pure part
-    with weight outside the support never yields a positive residual), so
-    the chart has 2(rank-1) real parameters.  Informed seeds come from
-    the most negative eigenvector of the partial reflection, the top
-    eigenvector of the state, and for rank-2 supports the exact
-    rank-one-residual splits over their product states; the rest are
-    random.  Rank-deficient states get a two-pass search per restart,
-    exploration with a loosened feasibility band followed by strict
-    certification; structured seeds skip straight to certification.  The
-    returned weight is a certified lower bound on S: the decomposition
-    itself is the certificate.
+    ``tol`` decides validity, separability and the rank.  A separable state
+    is its own split (weight 1) and an entangled pure state leaves nothing
+    separable (weight 0).  An entangled rank-2 state is solved exactly over
+    the product states of its support, with history ((0, lambda),).  Ranks
+    3 and 4 run a multistart Nelder-Mead search over pure parts restricted
+    to the support (a pure part with weight outside it never yields a
+    positive residual), so the chart has 2(rank-1) real parameters.
+    Informed starts come from the most negative eigenvector of the partial
+    reflection and the top eigenvector of the state; the rest are drawn
+    from ``seed``, up to ``restarts`` in all.  Rank 3 gets a two-pass search
+    per start, exploration with a loosened feasibility band followed by
+    strict certification.  The history then holds (start index, best
+    weight so far), and the weight is a certified lower bound on S: the
+    decomposition itself is the certificate.  ``restarts`` and ``seed``
+    have no effect below rank 3.
     """
-    if not is_state(state).decision:
+    if not is_state(state, tol).decision:
         raise PreconditionError("ls_optimize requires a valid state")
     rho = to_density_matrix(state)
-    if is_separable(state).decision:
+    if is_separable(state, tol).decision:
         return _separable_split(state, rho)
     eigs, vecs = np.linalg.eigh(rho)
-    rank = int(np.sum(eigs > 1e-9))
+    rank = int(np.sum(eigs > tol))
     if rank == 1:
         # entangled pure state: nothing separable remains
         return LSDecomposition(
@@ -431,60 +430,50 @@ def ls_optimize(
             margins=_sep_margins(to_density_matrix(_chaotic_state())),
             objective_history=((0, 0.0),),
         )
+    if rank == 2:
+        return _rank2_split(rho, eigs, vecs)
     u_support = np.ascontiguousarray(vecs[:, 4 - rank :])
     rrho = _kernels.reflect4(rho)
 
     def objective(th, band):
         return float(
-            _kernels.neg_lambda_objective(th, u_support, rho, rrho, band, tol)
+            _kernels.neg_lambda_objective(th, u_support, rho, rrho, band, _LAM_TOL)
         )
 
-    strict_stage = (
-        feas_tol,
-        {"maxiter": 2000, "maxfev": 3000, "xatol": 1e-9, "fatol": 1e-15},
-    )
     if rank == 4:
-        explore = (
-            (feas_tol, {"maxiter": 600, "maxfev": 900, "xatol": 1e-5, "fatol": 1e-7}),
+        schedule = (
+            (_FEAS_TOL, {"maxiter": 600, "maxfev": 900, "xatol": 1e-5, "fatol": 1e-7}),
         )
     else:
-        # rank-deficient states pinch the strict feasible set to (near)
-        # measure zero, and the infeasibility merit does not rank pinches
-        # by their weight; a loosened band widens every pinch so the
-        # weight itself steers the search, then a strict pass certifies
-        explore = (
-            (
-                max(1e-4, feas_tol),
-                {"maxiter": 600, "maxfev": 900, "xatol": 1e-6, "fatol": 1e-10},
-            ),
-            strict_stage,
+        # a rank-3 state pinches the strict feasible set to (near) measure
+        # zero, and the infeasibility merit does not rank pinches by their
+        # weight; a loosened band widens every pinch so the weight itself
+        # steers the search, then a strict pass certifies
+        schedule = (
+            (1e-4, {"maxiter": 600, "maxfev": 900, "xatol": 1e-6, "fatol": 1e-10}),
+            (_FEAS_TOL, {"maxiter": 2000, "maxfev": 3000, "xatol": 1e-9, "fatol": 1e-15}),
         )
 
     starts = []
-    if rank == 2:
-        # exact splits already sit on strict pinches and the loosened
-        # band would walk off them, so certify these directly
-        starts.extend(
-            (th, (strict_stage,)) for th in _rank2_structured_seeds(u_support, rho)
-        )
     neg_reflected = np.linalg.eigh(rrho)[1][:, 0]
     for cand in (neg_reflected, vecs[:, 3]):
         amp = u_support.conj().T @ cand
         norm = float(np.linalg.norm(amp))
         if norm > 1e-6:
-            starts.append((_angles_from_amplitudes(amp / norm), explore))
+            starts.append(_angles_from_amplitudes(amp / norm))
     rng = np.random.default_rng(seed)
     dim = 2 * (rank - 1)
     while len(starts) < max(restarts, 1):
-        th = np.concatenate(
-            [rng.uniform(0.0, math.pi / 2, rank - 1), rng.uniform(-math.pi, math.pi, rank - 1)]
+        starts.append(
+            np.concatenate(
+                [rng.uniform(0.0, math.pi / 2, rank - 1), rng.uniform(-math.pi, math.pi, rank - 1)]
+            )
         )
-        starts.append((th, explore))
 
     best_lam = -1.0
     best_th = None
     history = []
-    for idx, (th0, schedule) in enumerate(starts):
+    for idx, th0 in enumerate(starts):
         th = np.asarray(th0[:dim], dtype=float)
         fun = 0.0
         for band, options in schedule:
@@ -552,7 +541,6 @@ def degree(
     tol: float = DEFAULT_TOL,
     restarts: int = 64,
     seed: int = 0,
-    lam_tol: float = 1e-6,
 ) -> DegreeResult:
     """Dispatch to the best available route for the degree of separability.
 
@@ -564,10 +552,10 @@ def degree(
     if sep_verdict.decision:
         dec = _separable_split(state, to_density_matrix(state))
         return DegreeResult(S=1.0, method="SeparableShortcut", decomposition=dec)
-    if float(np.max(np.abs(state.s))) <= 1e-12 and float(np.max(np.abs(state.t))) <= 1e-12:
+    if _pauli_vectors_vanish(state, tol):
         loc = local_invariants(state)
         return DegreeResult(
-            S=degree_werner_first(state),
+            S=degree_werner_first(state, tol),
             method="ClosedFormWernerFirst",
             family_data={"det_C": loc.a3_1, "trace_modulus": trace_modulus(state.C)},
         )
@@ -595,5 +583,5 @@ def degree(
                 "x3": params.x3,
             },
         )
-    dec = ls_optimize(state, restarts=restarts, tol=lam_tol, seed=seed)
+    dec = ls_optimize(state, restarts=restarts, seed=seed, tol=tol)
     return DegreeResult(S=dec.lambda_, method="Optimizer", decomposition=dec)

@@ -18,6 +18,9 @@ from .errors import NumericalInconsistencyError
 from .quartic import real_quartic_roots
 from .state import TwoQubitState, entanglement_dyadic, to_density_matrix
 
+# largest gap allowed between the quartic spectrum and the direct eigensolve
+_CROSS_CHECK_TOL = 1e-6
+
 __all__ = [
     "LocalInvariants",
     "GlobalInvariants",
@@ -173,13 +176,13 @@ def global_invariants(loc: LocalInvariants) -> GlobalInvariants:
     )
 
 
-def spectrum(state: TwoQubitState, cross_check_tol: float = 1e-6) -> SpectrumResult:
+def spectrum(state: TwoQubitState) -> SpectrumResult:
     """Density-matrix eigenvalues via the invariant quartic.
 
     Solves kappa^4 - A2 kappa^2 + A1 kappa - A0 = 0 and maps each root to
     the eigenvalue (1 - kappa)/4.  A direct Hermitian eigensolve of the
     4x4 matrix runs alongside; the two spectra must agree to
-    ``cross_check_tol`` but neither result is adjusted toward the other.
+    ``_CROSS_CHECK_TOL`` but neither result is adjusted toward the other.
     """
     glob = global_invariants(local_invariants(state))
     kappa = real_quartic_roots(0.0, -glob.A2, glob.A1, -glob.A0)
@@ -187,7 +190,7 @@ def spectrum(state: TwoQubitState, cross_check_tol: float = 1e-6) -> SpectrumRes
 
     direct = np.linalg.eigvalsh(to_density_matrix(state))
     gap = float(np.max(np.abs(np.sort(eigenvalues) - direct)))
-    if gap > cross_check_tol:
+    if gap > _CROSS_CHECK_TOL:
         raise NumericalInconsistencyError(
             f"quartic spectrum and direct eigensolve disagree by {gap:.3e}"
         )

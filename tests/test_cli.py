@@ -24,6 +24,7 @@ from qpair import (
     Werner,
     construct_family,
     det_entanglement,
+    from_density_matrix,
     global_invariants,
     local_invariants,
     parse_state,
@@ -223,6 +224,40 @@ def test_decompose_reassembles_the_input():
     values = [value for _, value in history]
     assert values == sorted(values)
     assert min(report["margins"].values()) > -1e-8
+
+
+def test_tol_reaches_every_route():
+    # Each state passes the command's own check only at the --tol given
+    # (invalid, or not pure, at 1e-9); every inner call decides at that
+    # same --tol instead of failing at the default.
+    shifted_werner = TwoQubitState(
+        s=np.zeros(3), t=np.zeros(3), C=-1.000004 * np.eye(3)
+    )
+    # diagonal, hence separable, with one population at -1e-6
+    classical = from_density_matrix(np.diag([0.4, 0.3, 0.300001, -1e-6]))
+    pure = to_density_matrix(construct_family(GenericPure(0.4)))
+    nearly_pure = from_density_matrix((1.0 - 1e-7) * pure + 1e-7 * np.eye(4) / 4.0)
+    for command, tol, state in (
+        ("degree", "1e-3", shifted_werner),
+        ("decompose", "1e-3", classical),
+        ("canonical", "1e-6", nearly_pure),
+    ):
+        result = _invoke([command, "-", "--tol", tol], stdin=_statefile(state))
+        assert result.exit_code == 0, result.output
+    assert _report(result)["pure"]["p"] == pytest.approx(0.4, abs=1e-6)
+
+
+def test_classify_and_degree_agree_on_near_zero_pauli_vectors():
+    base = construct_family(Werner(0.8))
+    statefile = _statefile(
+        TwoQubitState(s=np.array([1e-10, 0.0, 0.0]), t=base.t, C=base.C)
+    )
+    family = _report(_invoke(["classify", "-"], stdin=statefile))["family"]
+    assert family["name"] == "werner"
+    assert family["x"] == pytest.approx(0.8, abs=1e-12)
+    report = _report(_invoke(["degree", "-"], stdin=statefile))
+    assert report["method"] == "ClosedFormWernerFirst"
+    assert report["S"] == pytest.approx(0.3, abs=1e-9)
 
 
 def test_expectations_reproduce_the_parameters():

@@ -7,6 +7,7 @@ at theta = pi/6 -> 2/3).  Optimizer agreement at small restart counts is
 checked loosely; the acceptance suite does the systematic comparison.
 """
 
+import importlib
 import math
 
 import numpy as np
@@ -79,6 +80,20 @@ def test_degree_werner_first_preconditions():
     invalid = TwoQubitState(s=np.zeros(3), t=np.zeros(3), C=-np.diag([0.8, 0.5, 0.2]))
     with pytest.raises(PreconditionError, match="valid"):
         degree_werner_first(invalid)
+
+
+def test_degree_werner_first_decides_at_tol():
+    # Minimum eigenvalue -1e-6: invalid at the default tolerance, valid at
+    # 1e-3.  Pauli vectors of 1e-10 vanish at 1e-9 but not at 1e-12.
+    shifted = TwoQubitState(s=np.zeros(3), t=np.zeros(3), C=-1.000004 * np.eye(3))
+    with pytest.raises(PreconditionError, match="valid"):
+        degree_werner_first(shifted)
+    assert degree_werner_first(shifted, tol=1e-3) == pytest.approx(-6e-6, abs=1e-12)
+    near = construct_family(Werner(0.8))
+    near = TwoQubitState(s=np.array([1e-10, 0.0, 0.0]), t=near.t, C=near.C)
+    assert degree_werner_first(near) == pytest.approx(0.3, abs=1e-12)
+    with pytest.raises(PreconditionError, match="s = t = 0"):
+        degree_werner_first(near, tol=1e-12)
 
 
 def test_degree_werner_second_threshold():
@@ -235,6 +250,40 @@ def test_ls_optimize_pure_entangled():
         pure_projector(dec.pure), to_density_matrix(state), atol=1e-10
     )
     assert np.allclose(dec.sep.as_vector(), 0.0)
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        Rank2Params(math.pi / 4, _G2, 0.0, 0.4, 0.3),
+        Rank2Params(0.8, 0.8, 0.3, 0.4, -0.5),
+        Rank2Params(0.9, 0.0, 0.15, 0.3, -0.4),
+        Rank2Params(math.pi / 2, 0.6, 0.3, 0.2, 0.4),
+    ],
+    ids=["generic", "equal_angles", "gamma2_zero", "gamma1_right_angle"],
+)
+def test_ls_optimize_rank2_is_exact(params, monkeypatch):
+    # Entangled rank-2 states are solved over the product states of the
+    # support, with no Nelder-Mead search; gamma1 = gamma2 has one product
+    # state (a double root), the other corners sit on the chart's edges.
+    from qpair import apply_local
+    from conftest import random_rotation
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("rank-2 ls_optimize must not search")
+
+    # the package attribute qpair.degree is the function, so go by module
+    monkeypatch.setattr(importlib.import_module("qpair.degree"), "minimize", no_search)
+    rng = np.random.default_rng(28)
+    state = apply_local(
+        construct_family(RankTwo(params)), random_rotation(rng), random_rotation(rng)
+    )
+    closed = degree_rank2(params)
+    assert closed.pair_kind is not None
+    dec = ls_optimize(state)
+    assert dec.lambda_ == pytest.approx(closed.S, abs=1e-7)
+    assert dec.objective_history == ((0, dec.lambda_),)
+    _check_decomposition(state, dec, atol=1e-12)
 
 
 def test_ls_optimize_requires_validity():
