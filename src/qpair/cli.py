@@ -276,21 +276,30 @@ def canonical(input_pos, input_opt, output, tol, pretty):
     _finish("canonical", state, {"tol": tol}, report, output, pretty)
 
 
+def _inert_search_options(fn):
+    """--restarts/--seed: still accepted and echoed in options, with no effect."""
+    for name, default in (("--seed", 0), ("--restarts", 64)):
+        fn = click.option(
+            name, type=int, default=default, show_default=True,
+            help="No effect (the optimizer is deterministic); echoed in options.",
+        )(fn)
+    return fn
+
+
 @main.command(name="degree")
 @_common
-@click.option("--restarts", type=int, default=64, show_default=True, help="Optimizer restarts.")
-@click.option("--seed", type=int, default=0, show_default=True, help="Optimizer seed.")
+@_inert_search_options
 @_guarded
 def degree_cmd(input_pos, input_opt, output, tol, pretty, restarts, seed):
     """Degree of separability with the route that produced it."""
     state = _load(input_pos, input_opt)
     _require_valid(state, tol)
-    result = degree(state, tol=tol, restarts=restarts, seed=seed)
+    result = degree(state, tol=tol)
     report = {
         "S": float(result.S),
         "method": result.method,
         "family_data": None if result.family_data is None else {
-            k: (None if v is None else (v if isinstance(v, str) else float(v)))
+            k: (None if v is None else (v if isinstance(v, (str, int)) else float(v)))
             for k, v in result.family_data.items()
         },
         "decomposition": None
@@ -305,14 +314,13 @@ def degree_cmd(input_pos, input_opt, output, tol, pretty, restarts, seed):
 
 @main.command()
 @_common
-@click.option("--restarts", type=int, default=64, show_default=True, help="Optimizer restarts.")
-@click.option("--seed", type=int, default=0, show_default=True, help="Optimizer seed.")
+@_inert_search_options
 @_guarded
 def decompose(input_pos, input_opt, output, tol, pretty, restarts, seed):
-    """Best separable-plus-pure split: exact at rank 2, searched at ranks 3-4."""
+    """Best separable-plus-pure split: exact at rank 2, a barrier SDP at ranks 3-4."""
     state = _load(input_pos, input_opt)
     _require_valid(state, tol)
-    dec = ls_optimize(state, restarts=restarts, seed=seed, tol=tol)
+    dec = ls_optimize(state, tol=tol)
     _finish(
         "decompose", state, {"tol": tol, "restarts": restarts, "seed": seed},
         _decomposition_payload(dec), output, pretty,

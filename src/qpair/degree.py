@@ -5,9 +5,12 @@ splits as lambda * (separable) + (1 - lambda) * (pure).  Four families have
 closed forms.  ``ls_optimize`` computes the split itself: separable and pure
 inputs are immediate, an entangled rank-2 state has an exact
 one-dimensional solve over the product states of its support, and ranks 3
-and 4 go to a numerical search over the pure part whose result is a
-certified lower bound (every feasible split witnesses lambda <= S).  The
-closed forms and ``ls_optimize`` double as cross-checks for each other.
+and 4 go to a log-barrier semidefinite program restricted to the support.
+For two qubits PPT is separable and the best split leaves a pure remainder,
+so S = max tr sigma over sigma >= 0, sigma^Gamma >= 0, rho - sigma >= 0.
+The barrier returns a feasible split, whose weight is a certified lower
+bound on S, together with a dual upper bound.  The closed forms and
+``ls_optimize`` double as cross-checks for each other.
 """
 
 from __future__ import annotations
@@ -17,14 +20,21 @@ from dataclasses import dataclass
 from typing import Mapping, Optional
 
 import numpy as np
-from scipy.optimize import minimize
+
+# Only perfbench/tracing.py still uses this name: it rebinds it to count
+# solver calls.  Nothing in the package calls it.
+from scipy.optimize import minimize  # noqa: F401
 
 from . import _kernels
+
+# _kernels.neg_lambda_objective: only perfbench's kernel micro-workload still
+# calls it.  _kernels.chart_amplitudes: only neg_lambda_objective, hence only
+# that micro-workload, still calls it.
 from .canonical import rank2_canonical
 from .classify import DEFAULT_TOL, is_separable, is_state, purity_rank
 from .errors import ConvergenceError, NumericalInconsistencyError, PreconditionError
 from .families import Rank2Params
-from .invariants import local_invariants, spectrum, trace_modulus
+from .invariants import local_invariants, trace_modulus
 from .state import (
     TwoQubitState,
     fix_global_phase,
@@ -50,10 +60,24 @@ __all__ = [
 
 # eigenvalue slack allowed on the normalized separable part of a split
 _FEAS_TOL = 1e-10
-# resolution of the weight bisection in the rank-3/4 search
+# resolution of the weight bisection in ls_lambda_for_pure
 _LAM_TOL = 1e-6
 # golden-section steps of the rank-2 mixture weight: 0.618^70 < 1e-14
 _GOLDEN_STEPS = 70
+# the rank-3/4 barrier stops once its certified bracket is this narrow,
+_GAP_TOL = 1e-8
+# or once its own duality gap (2r + 4)/t is this small
+_BARRIER_GAP = 1e-10
+# factor on the barrier weight t between stages
+_T_GROWTH = 8.0
+# a stage is centred once the squared Newton decrement is this small; the
+# dual estimate is corrected by the last Newton step, so it need not be tiny
+_NEWTON_TOL = 1e-4
+# Newton steps allowed per stage, and the smallest backtracking step
+_NEWTON_STEPS = 100
+_MIN_STEP = 1e-12
+# allowed excess of the split weight over the dual bound (rounding only)
+_BRACKET_SLACK = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,8 +87,11 @@ class LSDecomposition:
     ``lambda_`` carries a trailing underscore only because of the Python
     keyword.  ``pure`` is a normalized phase-fixed 4-vector, or None for a
     separable input (lambda 1, nothing left over).  ``margins`` holds the
-    positivity and reflected-positivity slack of the separable part;
-    ``objective_history`` records (restart index, best lambda so far).
+    positivity and reflected-positivity slack of the separable part.
+    ``upper_bound`` is a certified upper bound on S (equal to lambda_ on
+    the exact routes).  ``objective_history`` records (barrier stage, best
+    lower bound so far), one entry on the exact routes, and
+    ``newton_steps`` counts the barrier's Newton steps.
     """
 
     lambda_: float
@@ -72,6 +99,8 @@ class LSDecomposition:
     pure: Optional[np.ndarray]
     margins: Mapping[str, float]
     objective_history: tuple
+    upper_bound: Optional[float] = None
+    newton_steps: int = 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,9 +109,10 @@ class DegreeResult:
 
     ``method`` is one of SeparableShortcut, ClosedFormWernerFirst,
     ClosedFormWernerSecond, ClosedFormRank2, Optimizer.  Closed forms are
-    exact; the Optimizer value is a lower bound on S.  ``family_data``
-    carries route-specific numbers (q0, p0, pair kind, detected family
-    parameters).
+    exact; the Optimizer value is a certified lower bound on S.
+    ``family_data`` carries route-specific numbers (q0, p0, pair kind,
+    detected family parameters; for Optimizer the dual upper bound, the gap
+    and the Newton step count).
     """
 
     S: float
@@ -122,7 +152,9 @@ def degree_werner_first(state: TwoQubitState, tol: float = DEFAULT_TOL) -> float
     """Closed form for states with vanishing Pauli vectors.
 
     S = 1 when det C >= 0 or the trace modulus of C is at most 1, else
-    3/2 - (1/2) Spur|C|.  ``tol`` decides s = t = 0 and validity.
+    3/2 - (1/2) Spur|C|, clamped to [0, 1] because a state accepted only
+    at a loose ``tol`` can push it below 0.  ``tol`` decides s = t = 0 and
+    validity.
     """
     if not _pauli_vectors_vanish(state, tol):
         raise PreconditionError("degree_werner_first requires s = t = 0")
@@ -132,7 +164,7 @@ def degree_werner_first(state: TwoQubitState, tol: float = DEFAULT_TOL) -> float
     tm = trace_modulus(state.C)
     if det_c >= 0.0 or tm <= 1.0:
         return 1.0
-    return 1.5 - 0.5 * tm
+    return min(1.0, max(0.0, 1.5 - 0.5 * tm))
 
 
 def _werner_second_gap(q0, x, p, q, u):
@@ -288,21 +320,6 @@ def ls_lambda_for_pure(state: TwoQubitState, psi) -> float:
     return lam
 
 
-def _angles_from_amplitudes(amp):
-    """Invert the hyperspherical chart for a normalized amplitude vector."""
-    amp = np.asarray(amp, dtype=np.complex128)
-    r = amp.size
-    if abs(amp[0]) > 1e-12:
-        amp = amp * (amp[0].conjugate() / abs(amp[0]))
-    mags = np.abs(amp)
-    th = np.zeros(2 * (r - 1))
-    for k in range(r - 1):
-        th[k] = math.atan2(float(np.linalg.norm(mags[k + 1 :])), float(mags[k]))
-    for k in range(1, r):
-        th[r - 2 + k] = math.atan2(float(amp[k].imag), float(amp[k].real)) if mags[k] > 1e-12 else 0.0
-    return th
-
-
 def _det2(m):
     return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
 
@@ -350,6 +367,7 @@ def _separable_split(state, rho):
         pure=None,
         margins=_sep_margins(rho),
         objective_history=((0, 1.0),),
+        upper_bound=1.0,
     )
 
 
@@ -387,32 +405,204 @@ def _rank2_split(rho, eigs, vecs):
         pure=fix_global_phase(psi),
         margins=_sep_margins(sep_rho),
         objective_history=((0, lam),),
+        upper_bound=lam,
     )
 
 
-def ls_optimize(
-    state: TwoQubitState,
-    restarts: int = 64,
-    seed: int = 0,
-    tol: float = DEFAULT_TOL,
-) -> LSDecomposition:
-    """The best separable-plus-pure split the package can certify.
+def _hermitian_basis(r):
+    """The r x r Hermitian matrices' basis, orthonormal under tr(AB)."""
+    basis = np.zeros((r * r, r, r), dtype=np.complex128)
+    for k, (i, j) in enumerate((i, j) for i in range(r) for j in range(r)):
+        if i == j:
+            basis[k, i, i] = 1.0
+        elif i < j:
+            basis[k, i, j] = basis[k, j, i] = math.sqrt(0.5)
+        else:
+            basis[k, i, j], basis[k, j, i] = 1j * math.sqrt(0.5), -1j * math.sqrt(0.5)
+    return basis
+
+
+def _partial_transpose(m):
+    """Transpose on the second qubit, for one 4x4 matrix or a stack of them."""
+    lead = m.shape[:-2]
+    return m.reshape(*lead, 2, 2, 2, 2).swapaxes(-1, -3).reshape(*lead, 4, 4)
+
+
+def _psd_part(m):
+    e, u = np.linalg.eigh(m)
+    return (u * np.maximum(e, 0.0)) @ u.conj().T
+
+
+def _pd_inverse(m):
+    """(log det m, m^-1) of a positive definite Hermitian m, else None.
+
+    The Newton iterations solve everything with the Hermitian eigensolver
+    the package already uses elsewhere: LU or Cholesky routines would add
+    their library code to the peak memory of every degree() caller.
+    """
+    e, u = np.linalg.eigh(m)
+    if e[0] <= 0.0:
+        return None
+    return float(np.sum(np.log(e))), (u / e) @ u.conj().T
+
+
+def _barrier_split(rho, eigs, vecs, rank, tol):
+    """The certified best split of an entangled rank-3 or rank-4 state.
+
+    S = max tr sigma over sigma >= 0, sigma^Gamma >= 0, rho - sigma >= 0
+    (PPT is separable for two qubits).  sigma lies in the support, so
+    sigma = V X V^dagger with X an r x r Hermitian matrix written in an
+    orthonormal basis (r^2 real coordinates), and D - X >= 0 with D the
+    support eigenvalues.  A rank-3 state whose kernel vector is a product
+    a (x) b (second Schmidt coefficient at most ``tol``) has no strictly
+    feasible point: every feasible sigma^Gamma annihilates k' = a (x) b*.
+    Besides the support, that adds one complex equation,
+    <a_perp b| sigma |a b_perp> = 0, which restricts X to a subspace, and
+    the PPT block is taken on the complement of k'.
+
+    All blocks form one block-diagonal S(y) = blockdiag(X, D - X, P),
+    affine in the coordinates y, and damped Newton minimizes
+    -t tr X - log det S(y) for t growing by _T_GROWTH per stage from the
+    strictly feasible X = (min D / 2) 1.  Each stage yields
+    - a lower bound: with (w, psi) the top eigenpair of rho - sigma, the
+      split lambda = 1 - w, sep = (rho - w |psi><psi|)/lambda reproduces
+      rho exactly; it counts only if its margins pass;
+    - an upper bound tr(D Z): the last Newton step gives the dual estimate
+      W = (S^-1 - S^-1 dS S^-1)/t, and Z = 1 + A + V^dagger B^Gamma V with
+      A, B the PSD parts of W's X and P blocks is dual feasible; on a
+      reduced face the equality multipliers are free, so Z's component
+      across the face is taken from W's D - X block.
+    Stops once the bracket is _GAP_TOL wide or (2r + 4)/t <= _BARRIER_GAP.
+    """
+    r = rank
+    v = vecs[:, 4 - r :]
+    d = eigs[4 - r :]
+    # eigenvalues at or below tol are zero for the solve; the split still
+    # reproduces rho, so its margins may carry their weight
+    outside = float(np.sum(np.abs(eigs[: 4 - r])))
+    herm = _hermitian_basis(r)
+    reflected = _partial_transpose(v @ herm @ v.conj().T)
+    null, keep = np.eye(r * r), np.eye(4)
+    if r == 3:
+        left, schmidt, right = np.linalg.svd(vecs[:, 0].reshape(2, 2))
+        if schmidt[1] <= tol:
+            bra = v.conj().T @ np.kron(left[:, 1], right[0])
+            ket = v.conj().T @ np.kron(left[:, 0], right[1])
+            equation = np.einsum("a,kab,b->k", bra.conj(), herm, ket)
+            null = np.linalg.svd(np.stack([equation.real, equation.imag]))[2][2:].T
+            reflected_kernel = np.kron(left[:, 0], right[0].conj())
+            keep = np.linalg.svd(reflected_kernel[:, None])[0][:, 1:]
+    basis = np.einsum("kj,kab->jab", null, herm)
+    q = keep.shape[1]
+    size = 2 * r + q
+    blocks = np.zeros((len(basis), size, size), dtype=np.complex128)
+    blocks[:, :r, :r] = basis
+    blocks[:, r : 2 * r, r : 2 * r] = -basis
+    blocks[:, 2 * r :, 2 * r :] = keep.conj().T @ np.einsum("kj,kab->jab", null, reflected) @ keep
+    offset = np.zeros((size, size), dtype=np.complex128)
+    offset[r : 2 * r, r : 2 * r] = np.diag(d)
+    traces = np.einsum("jaa->j", basis).real
+
+    y = 0.5 * float(d[0]) * (null.T @ np.einsum("kaa->k", herm).real)
+    s_mat = offset + np.einsum("j,jab->ab", y, blocks)
+    logdet, inv = _pd_inverse(s_mat)
+    t = 1.0
+    best_lower, best_upper, best = 0.0, math.inf, None
+    history = []
+    steps = 0
+    while True:
+        for _ in range(_NEWTON_STEPS):
+            scaled = inv @ blocks
+            grad = -t * traces - np.einsum("jaa->j", scaled).real
+            # hess[j, l] = tr(S^-1 A_j S^-1 A_l), one contraction over the
+            # basis; Hermitian and real up to rounding
+            hess_eigs, hess_vecs = np.linalg.eigh(
+                np.tensordot(scaled, scaled, axes=([1, 2], [2, 1]))
+            )
+            if hess_eigs[0] <= 0.0:
+                raise ConvergenceError(f"barrier Newton system singular at t = {t:.3g}")
+            dy = (hess_vecs @ ((hess_vecs.conj().T @ -grad) / hess_eigs)).real
+            dec2 = float(-grad @ dy)
+            if dec2 <= _NEWTON_TOL:
+                break
+            step = 1.0 if dec2 < 1.0 / 16.0 else 1.0 / (1.0 + math.sqrt(dec2))
+            while True:
+                trial = offset + np.einsum("j,jab->ab", y + step * dy, blocks)
+                factored = _pd_inverse(trial)
+                # the linear term apart, so large t costs no precision
+                if factored is not None and (
+                    -t * step * float(traces @ dy) - (factored[0] - logdet)
+                    <= -0.25 * step * dec2
+                ):
+                    break
+                step *= 0.5
+                if step < _MIN_STEP:
+                    raise ConvergenceError(
+                        f"barrier Newton line search stalled at t = {t:.3g}", residual=dec2
+                    )
+            y, s_mat, (logdet, inv) = y + step * dy, trial, factored
+            steps += 1
+        else:
+            raise ConvergenceError(
+                f"barrier stage at t = {t:.3g} not centred in {_NEWTON_STEPS} Newton steps",
+                residual=dec2,
+            )
+
+        x_mat = s_mat[:r, :r]
+        dual = (inv - inv @ np.einsum("j,jab->ab", dy, blocks) @ inv) / t
+        dual_y = dual[r : 2 * r, r : 2 * r]
+        reflected_b = _partial_transpose(keep @ _psd_part(dual[2 * r :, 2 * r :]) @ keep.conj().T)
+        z = np.eye(r) + _psd_part(dual[:r, :r]) + v.conj().T @ reflected_b @ v
+        z = dual_y + np.einsum("j,jab->ab", np.einsum("jab,ba->j", basis, z - dual_y).real, basis)
+        best_upper = min(best_upper, float(np.einsum("a,aa->", d, _psd_part(z)).real))
+
+        w, u = np.linalg.eigh(rho - v @ x_mat @ v.conj().T)
+        lam, psi = 1.0 - float(w[3]), u[:, 3]
+        if lam > best_lower:
+            part = rho - w[3] * np.outer(psi, psi.conj())
+            margins = _sep_margins(part / lam)
+            if lam * min(margins.values()) >= -(_FEAS_TOL * lam + outside):
+                best_lower, best = lam, (part / lam, psi, margins)
+        history.append((len(history), best_lower))
+        if best_upper - best_lower <= _GAP_TOL or (2 * r + 4) / t <= _BARRIER_GAP:
+            break
+        t *= _T_GROWTH
+
+    if best is None:
+        raise ConvergenceError(f"no stage of the barrier gave a feasible split (t = {t:.3g})")
+    if best_upper < best_lower - _BRACKET_SLACK - outside:
+        raise NumericalInconsistencyError(
+            f"dual bound {best_upper:.12g} lies below the split weight {best_lower:.12g}"
+        )
+    sep_rho, psi, margins = best
+    return LSDecomposition(
+        lambda_=best_lower,
+        sep=from_density_matrix(sep_rho, tol=1e-7),
+        pure=fix_global_phase(psi),
+        margins=margins,
+        objective_history=tuple(history),
+        upper_bound=best_upper,
+        newton_steps=steps,
+    )
+
+
+def ls_optimize(state: TwoQubitState, tol: float = DEFAULT_TOL) -> LSDecomposition:
+    """The best separable-plus-pure split, with a bracket on S.
 
     ``tol`` decides validity, separability and the rank.  A separable state
     is its own split (weight 1) and an entangled pure state leaves nothing
     separable (weight 0).  An entangled rank-2 state is solved exactly over
-    the product states of its support, with history ((0, lambda),).  Ranks
-    3 and 4 run a multistart Nelder-Mead search over pure parts restricted
-    to the support (a pure part with weight outside it never yields a
-    positive residual), so the chart has 2(rank-1) real parameters.
-    Informed starts come from the most negative eigenvector of the partial
-    reflection and the top eigenvector of the state; the rest are drawn
-    from ``seed``, up to ``restarts`` in all.  Rank 3 gets a two-pass search
-    per start, exploration with a loosened feasibility band followed by
-    strict certification.  The history then holds (start index, best
-    weight so far), and the weight is a certified lower bound on S: the
-    decomposition itself is the certificate.  ``restarts`` and ``seed``
-    have no effect below rank 3.
+    the product states of its support.  These routes are exact:
+    ``upper_bound`` equals ``lambda_`` and the history is ((0, lambda),).
+
+    Ranks 3 and 4 run a log-barrier SDP restricted to the support (see
+    ``_barrier_split``).  ``lambda_`` is the weight of a feasible split
+    with a pure remainder, hence a certified lower bound on S, and
+    ``upper_bound`` is a dual bound, usually within about 1e-8 of it.
+    The history holds (barrier stage, best lower bound so far).
+    Eigenvalues at or below ``tol`` count as zero in the solve, so a state
+    that is positive only up to ``tol`` still gets a split reproducing it,
+    with margins as negative as those eigenvalues.
     """
     if not is_state(state, tol).decision:
         raise PreconditionError("ls_optimize requires a valid state")
@@ -429,86 +619,11 @@ def ls_optimize(
             pure=fix_global_phase(vecs[:, 3]),
             margins=_sep_margins(to_density_matrix(_chaotic_state())),
             objective_history=((0, 0.0),),
+            upper_bound=0.0,
         )
     if rank == 2:
         return _rank2_split(rho, eigs, vecs)
-    u_support = np.ascontiguousarray(vecs[:, 4 - rank :])
-    rrho = _kernels.reflect4(rho)
-
-    def objective(th, band):
-        return float(
-            _kernels.neg_lambda_objective(th, u_support, rho, rrho, band, _LAM_TOL)
-        )
-
-    if rank == 4:
-        schedule = (
-            (_FEAS_TOL, {"maxiter": 600, "maxfev": 900, "xatol": 1e-5, "fatol": 1e-7}),
-        )
-    else:
-        # a rank-3 state pinches the strict feasible set to (near) measure
-        # zero, and the infeasibility merit does not rank pinches by their
-        # weight; a loosened band widens every pinch so the weight itself
-        # steers the search, then a strict pass certifies
-        schedule = (
-            (1e-4, {"maxiter": 600, "maxfev": 900, "xatol": 1e-6, "fatol": 1e-10}),
-            (_FEAS_TOL, {"maxiter": 2000, "maxfev": 3000, "xatol": 1e-9, "fatol": 1e-15}),
-        )
-
-    starts = []
-    neg_reflected = np.linalg.eigh(rrho)[1][:, 0]
-    for cand in (neg_reflected, vecs[:, 3]):
-        amp = u_support.conj().T @ cand
-        norm = float(np.linalg.norm(amp))
-        if norm > 1e-6:
-            starts.append(_angles_from_amplitudes(amp / norm))
-    rng = np.random.default_rng(seed)
-    dim = 2 * (rank - 1)
-    while len(starts) < max(restarts, 1):
-        starts.append(
-            np.concatenate(
-                [rng.uniform(0.0, math.pi / 2, rank - 1), rng.uniform(-math.pi, math.pi, rank - 1)]
-            )
-        )
-
-    best_lam = -1.0
-    best_th = None
-    history = []
-    for idx, th0 in enumerate(starts):
-        th = np.asarray(th0[:dim], dtype=float)
-        fun = 0.0
-        for band, options in schedule:
-            res = minimize(
-                lambda t: objective(t, band), th, method="Nelder-Mead", options=options
-            )
-            th = res.x
-            fun = float(res.fun)
-        lam = max(0.0, -fun)
-        if lam > best_lam:
-            best_lam = lam
-            best_th = th
-        history.append((idx, best_lam))
-    if best_lam <= 0.0:
-        raise ConvergenceError(
-            f"no feasible decomposition found in {len(starts)} restarts "
-            f"(mixed entangled input should always admit one)"
-        )
-
-    # keep the projector bit-identical to the one the objective certified:
-    # at a pinched optimum the margin sits on the feasibility band edge
-    # and even renormalization noise can flip the verdict
-    amp = np.asarray(_kernels.chart_amplitudes(np.asarray(best_th, dtype=float)))
-    psi = u_support @ amp
-    proj = np.outer(psi, psi.conj())
-    lam = best_lam
-    sep_rho = (rho - (1.0 - lam) * proj) / lam
-    sep = from_density_matrix(sep_rho, tol=1e-7)
-    return LSDecomposition(
-        lambda_=lam,
-        sep=sep,
-        pure=fix_global_phase(psi),
-        margins=_sep_margins(sep_rho),
-        objective_history=tuple(history),
-    )
+    return _barrier_split(rho, eigs, vecs, rank, tol)
 
 
 def _detect_werner_second(state: TwoQubitState):
@@ -536,17 +651,14 @@ def _detect_werner_second(state: TwoQubitState):
     return min(1.0, x), p
 
 
-def degree(
-    state: TwoQubitState,
-    tol: float = DEFAULT_TOL,
-    restarts: int = 64,
-    seed: int = 0,
-) -> DegreeResult:
+def degree(state: TwoQubitState, tol: float = DEFAULT_TOL) -> DegreeResult:
     """Dispatch to the best available route for the degree of separability.
 
     Order: separable shortcut, vanishing-Pauli-vector closed form,
     chaos-plus-pure closed form (covers entangled pure states at x = 1),
-    rank-2 closed form, and finally the optimizer lower bound.
+    rank-2 closed form, and finally ``ls_optimize``'s barrier SDP, whose
+    S is a certified lower bound reported with its dual upper bound, the
+    gap between them and the Newton step count.
     """
     sep_verdict = is_separable(state, tol)
     if sep_verdict.decision:
@@ -583,5 +695,14 @@ def degree(
                 "x3": params.x3,
             },
         )
-    dec = ls_optimize(state, restarts=restarts, seed=seed, tol=tol)
-    return DegreeResult(S=dec.lambda_, method="Optimizer", decomposition=dec)
+    dec = ls_optimize(state, tol=tol)
+    return DegreeResult(
+        S=dec.lambda_,
+        method="Optimizer",
+        decomposition=dec,
+        family_data={
+            "upper_bound": dec.upper_bound,
+            "gap": dec.upper_bound - dec.lambda_,
+            "newton_steps": dec.newton_steps,
+        },
+    )

@@ -28,6 +28,7 @@ from qpair import (
     global_invariants,
     local_invariants,
     parse_state,
+    random_state,
     serialize_state,
     to_density_matrix,
     trace_modulus,
@@ -208,7 +209,7 @@ def test_decompose_reassembles_the_input():
     assert result.exit_code == 0
     report = _report(result)
     lam = report["lambda"]
-    assert lam == pytest.approx(0.75, abs=5e-3)
+    assert lam == pytest.approx(0.75, abs=1e-8)
     sep = TwoQubitState(
         np.asarray(report["sep"]["s"]),
         np.asarray(report["sep"]["t"]),
@@ -220,7 +221,7 @@ def test_decompose_reassembles_the_input():
     target = to_density_matrix(parse_state(statefile))
     assert np.max(np.abs(rho - target)) < 1e-7
     history = report["objective_history"]
-    assert [step for step, _ in history] == list(range(4))
+    assert [stage for stage, _ in history] == list(range(len(history)))
     values = [value for _, value in history]
     assert values == sorted(values)
     assert min(report["margins"].values()) > -1e-8
@@ -245,6 +246,41 @@ def test_tol_reaches_every_route():
         result = _invoke([command, "-", "--tol", tol], stdin=_statefile(state))
         assert result.exit_code == 0, result.output
     assert _report(result)["pure"]["p"] == pytest.approx(0.4, abs=1e-6)
+
+
+def test_werner_first_degree_is_clamped_at_a_loose_tol():
+    # 3/2 - Spur|C|/2 = -6e-6 here; the state is valid only at --tol 1e-3
+    shifted_werner = TwoQubitState(
+        s=np.zeros(3), t=np.zeros(3), C=-1.000004 * np.eye(3)
+    )
+    result = _invoke(["degree", "-", "--tol", "1e-3"], stdin=_statefile(shifted_werner))
+    assert result.exit_code == 0, result.output
+    report = _report(result)
+    assert report["method"] == "ClosedFormWernerFirst"
+    assert report["S"] == 0.0
+
+
+def test_decompose_accepts_a_negative_eigenvalue_within_tol():
+    rho = to_density_matrix(random_state(0, target_rank=4))
+    eigs, vecs = np.linalg.eigh(rho)
+    shift = eigs[0] + 1e-6
+    eigs = eigs + np.array([-shift, 0.0, 0.0, shift])
+    state = from_density_matrix((vecs * eigs) @ vecs.conj().T)
+    target = to_density_matrix(state)
+    assert np.linalg.eigvalsh(target)[0] == pytest.approx(-1e-6, abs=1e-12)
+    result = _invoke(["decompose", "-", "--tol", "1e-3"], stdin=_statefile(state))
+    assert result.exit_code == 0, result.output
+    report = _report(result)
+    lam = report["lambda"]
+    sep = TwoQubitState(
+        np.asarray(report["sep"]["s"]),
+        np.asarray(report["sep"]["t"]),
+        np.asarray(report["sep"]["C"]),
+    )
+    amp = np.asarray(report["pure"]["re"]) + 1j * np.asarray(report["pure"]["im"])
+    rebuilt = lam * to_density_matrix(sep) + (1.0 - lam) * np.outer(amp, amp.conj())
+    assert np.max(np.abs(rebuilt - target)) <= 1e-12
+    assert min(report["margins"].values()) >= -1e-5
 
 
 def test_classify_and_degree_agree_on_near_zero_pauli_vectors():

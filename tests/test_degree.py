@@ -3,8 +3,8 @@
 Frozen values in here were computed from the closed forms themselves at
 well-separated parameters and double-checked by hand where a formula
 collapses to simple numbers (Werner 0.5 -> 0.75, the x = 0 rank-2 state
-at theta = pi/6 -> 2/3).  Optimizer agreement at small restart counts is
-checked loosely; the acceptance suite does the systematic comparison.
+at theta = pi/6 -> 2/3).  The acceptance suite does the systematic
+comparison of the optimizer against the closed forms.
 """
 
 import importlib
@@ -30,6 +30,7 @@ from qpair import (
     degree_werner,
     degree_werner_first,
     degree_werner_second,
+    from_density_matrix,
     is_separable,
     ls_lambda_for_pure,
     ls_optimize,
@@ -88,7 +89,8 @@ def test_degree_werner_first_decides_at_tol():
     shifted = TwoQubitState(s=np.zeros(3), t=np.zeros(3), C=-1.000004 * np.eye(3))
     with pytest.raises(PreconditionError, match="valid"):
         degree_werner_first(shifted)
-    assert degree_werner_first(shifted, tol=1e-3) == pytest.approx(-6e-6, abs=1e-12)
+    # 3/2 - Spur|C|/2 = -6e-6 there, clamped to S = 0
+    assert degree_werner_first(shifted, tol=1e-3) == 0.0
     near = construct_family(Werner(0.8))
     near = TwoQubitState(s=np.array([1e-10, 0.0, 0.0]), t=near.t, C=near.C)
     assert degree_werner_first(near) == pytest.approx(0.3, abs=1e-12)
@@ -223,19 +225,22 @@ def _check_decomposition(state, dec, atol=1e-8):
 
 def test_ls_optimize_werner():
     state = construct_family(Werner(0.6))
-    dec = ls_optimize(state, restarts=8)
-    assert dec.lambda_ == pytest.approx(0.6, abs=5e-3)
+    dec = ls_optimize(state)
+    assert dec.lambda_ == pytest.approx(0.6, abs=1e-8)
+    assert 0.6 <= dec.upper_bound + 1e-9
     _check_decomposition(state, dec)
     assert is_separable(dec.sep, tol=1e-7).decision
-    # History tracks the running best, one entry per restart.
-    assert len(dec.objective_history) == 8
+    # History tracks the best lower bound, one entry per barrier stage.
+    assert [stage for stage, _ in dec.objective_history] == list(
+        range(len(dec.objective_history))
+    )
     bests = [lam for _, lam in dec.objective_history]
     assert bests == sorted(bests)
 
 
 def test_ls_optimize_separable_shortcut():
     state = construct_family(Werner(0.2))
-    dec = ls_optimize(state, restarts=4)
+    dec = ls_optimize(state)
     assert dec.lambda_ == 1.0
     assert dec.pure is None
     assert np.array_equal(dec.sep.as_vector(), state.as_vector())
@@ -243,7 +248,7 @@ def test_ls_optimize_separable_shortcut():
 
 def test_ls_optimize_pure_entangled():
     state = construct_family(GenericPure(0.3))
-    dec = ls_optimize(state, restarts=4)
+    dec = ls_optimize(state)
     assert dec.lambda_ == 0.0
     assert dec.pure is not None
     assert np.allclose(
@@ -284,6 +289,39 @@ def test_ls_optimize_rank2_is_exact(params, monkeypatch):
     assert dec.lambda_ == pytest.approx(closed.S, abs=1e-7)
     assert dec.objective_history == ((0, dec.lambda_),)
     _check_decomposition(state, dec, atol=1e-12)
+
+
+def _product_kernel_rank3():
+    # kernel vector |00>, a product vector: the partial transpose of the
+    # support projector is singular, so the barrier needs the reduced face
+    bell = np.array([0.0, 1.0, 1.0, 0.0]) / math.sqrt(2.0)
+    rho = 0.5 * np.outer(bell, bell) + np.diag([0.0, 0.3, 0.0, 0.2])
+    return from_density_matrix(rho)
+
+
+@pytest.mark.parametrize(
+    "state",
+    [_product_kernel_rank3(), random_state(1, target_rank=3)],
+    ids=["product_kernel", "random_seed1"],
+)
+def test_ls_optimize_rank3_is_certified_without_search(state, monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("ls_optimize must not call minimize")
+
+    monkeypatch.setattr(importlib.import_module("qpair.degree"), "minimize", no_search)
+    assert np.sum(np.linalg.eigvalsh(to_density_matrix(state)) > 1e-9) == 3
+    assert not is_separable(state).decision
+    dec = ls_optimize(state)
+    assert 0.0 <= dec.upper_bound - dec.lambda_ <= 1e-6
+    assert dec.newton_steps > 0
+    _check_decomposition(state, dec)
+    assert np.max(
+        np.abs(
+            dec.lambda_ * to_density_matrix(dec.sep)
+            + (1.0 - dec.lambda_) * pure_projector(dec.pure)
+            - to_density_matrix(state)
+        )
+    ) <= 1e-12
 
 
 def test_ls_optimize_requires_validity():
@@ -349,10 +387,14 @@ def test_degree_dispatch_optimizer():
         [0.85, 0.15],
     )
     assert not is_separable(state).decision
-    res = degree(state, restarts=8)
+    res = degree(state)
     assert res.method == "Optimizer"
     assert 0.0 < res.S < 1.0
     _check_decomposition(state, res.decomposition)
+    data = res.family_data
+    assert data["upper_bound"] == res.decomposition.upper_bound
+    assert 0.0 <= data["gap"] == data["upper_bound"] - res.S <= 1e-6
+    assert data["newton_steps"] > 0
 
 
 def test_degree_optimizer_agrees_with_werner_second_closed_form():
@@ -363,6 +405,6 @@ def test_degree_optimizer_agrees_with_werner_second_closed_form():
     perturbed = TwoQubitState(
         s=base.s * (1 + bump), t=base.t * (1 + bump), C=base.C
     )
-    res = degree(perturbed, restarts=8)
+    res = degree(perturbed)
     assert res.method == "Optimizer"
     assert res.S == pytest.approx(0.43743851341688866, abs=5e-3)
