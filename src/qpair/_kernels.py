@@ -1,9 +1,11 @@
-"""Hot numeric kernels for the separability optimizer.
+"""Small numeric kernels.
 
-Everything here is called thousands of times per optimization run: the
-partial reflection of a 4x4 matrix, the hyperspherical chart for pure-state
-vectors, and the one-dimensional solve for the largest feasible separable
-weight of a fixed pure part.
+``reflect4`` gives ``degree``'s split margins; ``_golden_max`` and ``_bisect``
+serve ``degree._rank2_split`` and ``degree.degree_werner_second``.  Only
+perfbench's kernel micro-workload, which pins their values, calls
+``max_feasible_lambda`` and ``neg_lambda_objective`` (weight solve and
+objective of the retired pure-part search); ``lam_margin`` and
+``chart_amplitudes`` serve only those two.
 
 The feasible set of the weight lam is an interval: the smallest eigenvalue
 of an affine Hermitian pencil is a concave function of lam, and so is the

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.optimize import minimize
 from scipy.spatial.transform import Rotation
 
-from .classify import purity_rank
+from .classify import DEFAULT_TOL, purity_rank
 from .errors import ConvergenceError, NumericalInconsistencyError, PreconditionError
 from .families import Rank2Params, check_rotation, rank2_family_params
 from .invariants import global_invariants, local_invariants
@@ -91,7 +91,7 @@ def diagonalize_cross(state: TwoQubitState) -> CanonicalForm:
     return CanonicalForm(o_ee=u, o_nn=vh, c=sv, sign=sign)
 
 
-def pure_canonical(state: TwoQubitState, tol: float = 1e-9) -> float:
+def pure_canonical(state: TwoQubitState, tol: float = DEFAULT_TOL) -> float:
     """The single parameter p of a pure state's generic form.
 
     In the canonical frame a pure state has s = (p, 0, 0), t = (-p, 0, 0),
@@ -198,7 +198,7 @@ def _initial_frame(pu, pv, pm):
 
 def rank2_canonical(
     state: TwoQubitState,
-    tol: float = 1e-9,
+    tol: float = DEFAULT_TOL,
     return_frame: bool = False,
 ):
     """Recover the generic-form parameters of a rank-2 state.

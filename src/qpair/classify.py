@@ -17,7 +17,7 @@ import numpy as np
 from .errors import NumericalInconsistencyError, PreconditionError
 from .invariants import (
     GlobalInvariants,
-    det_entanglement,
+    _det_entanglement,
     global_invariants,
     local_invariants,
 )
@@ -79,24 +79,20 @@ def _check_agreement(inv_ok, mat_ok, inv_margins, mat_margin, tol, what):
     # boundary rounding: the conjunction below settles the decision
 
 
-def is_state(state: TwoQubitState, tol: float = DEFAULT_TOL) -> Verdict:
-    """Decide positivity, i.e. whether the parameters describe a state.
-
-    Margins: ``quartic_value``, ``quartic_slope``, ``quartic_curvature``
-    are the slacks of the three invariant inequalities; ``min_eigenvalue``
-    is the smallest eigenvalue from the direct eigensolve.  The decision
-    is the conjunction of both routes at ``tol``.
-    """
+def _positivity(state, tol):
+    """``is_state``'s verdict, local and global invariants, and eigenvalues."""
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
-    glob = global_invariants(local_invariants(state))
+    loc = local_invariants(state)
+    glob = global_invariants(loc)
     m1, m2, m3 = _quartic_margins(glob)
-    min_eig = float(np.linalg.eigvalsh(to_density_matrix(state))[0])
+    eigs = np.linalg.eigvalsh(to_density_matrix(state))
+    min_eig = float(eigs[0])
 
     inv_ok = min(m1, m2, m3) >= -tol
     mat_ok = min_eig >= -tol
     _check_agreement(inv_ok, mat_ok, (m1, m2, m3), min_eig, tol, "positivity")
-    return Verdict(
+    verdict = Verdict(
         decision=inv_ok and mat_ok,
         margins={
             "quartic_value": m1,
@@ -106,14 +102,28 @@ def is_state(state: TwoQubitState, tol: float = DEFAULT_TOL) -> Verdict:
         },
         method="Both",
     )
+    return verdict, loc, glob, eigs
+
+
+def is_state(state: TwoQubitState, tol: float = DEFAULT_TOL) -> Verdict:
+    """Decide positivity, i.e. whether the parameters describe a state.
+
+    Margins: ``quartic_value``, ``quartic_slope``, ``quartic_curvature``
+    are the slacks of the three invariant inequalities; ``min_eigenvalue``
+    is the smallest eigenvalue from the direct eigensolve.  The decision
+    is the conjunction of both routes at ``tol``.
+    """
+    return _positivity(state, tol)[0]
 
 
 def _require_state(state, tol, who):
-    verdict = is_state(state, tol)
+    """Raise unless valid at ``tol``; else return the check's (loc, glob, eigs)."""
+    verdict, *derived = _positivity(state, tol)
     if not verdict.decision:
         raise PreconditionError(
             f"{who} requires a valid state; positivity margins {dict(verdict.margins)}"
         )
+    return derived
 
 
 def is_entangled(state: TwoQubitState, tol: float = DEFAULT_TOL) -> bool:
@@ -140,10 +150,8 @@ def is_separable(state: TwoQubitState, tol: float = DEFAULT_TOL) -> Verdict:
     ``reflected_min_eigenvalue`` comes from eigensolving the reflected
     matrix.  Decision is the conjunction of both routes at ``tol``.
     """
-    _require_state(state, tol, "is_separable")
-    loc = local_invariants(state)
-    glob = global_invariants(loc)
-    det_e = det_entanglement(state)
+    loc, glob, _ = _require_state(state, tol, "is_separable")
+    det_e = _det_entanglement(state, loc)
     m1 = 1.0 + 16.0 * det_e - (glob.A2 - glob.A1 + glob.A0)
     m2 = 4.0 + 16.0 * loc.a3_1 - (2.0 * glob.A2 - glob.A1)
     reflected = reflect(state, "partial")
@@ -171,12 +179,10 @@ def purity_rank(state: TwoQubitState, tol: float = DEFAULT_TOL) -> PurityRank:
     inequalities all tight); rank 2 against its own pair of equalities
     with the subspace radius x^2 = (A2 - 2)/4 below 1.
     """
-    _require_state(state, tol, "purity_rank")
-    eigs = np.linalg.eigvalsh(to_density_matrix(state))
+    _, glob, eigs = _require_state(state, tol, "purity_rank")
     rank = int(np.sum(eigs > tol))
     pure = rank == 1
 
-    glob = global_invariants(local_invariants(state))
     m1, m2, m3 = _quartic_margins(glob)
     # eigenvalue perturbations of size tol move the quartic slacks by a
     # bounded factor; 100 tol is a generous enclosure for the cross-check

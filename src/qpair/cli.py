@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import functools
 import sys
+from dataclasses import asdict
 
 import click
 import numpy as np
 
 from . import __version__
 from .canonical import diagonalize_cross, pure_canonical, rank2_canonical
-from .classify import is_entangled, is_separable, is_state, purity_rank
+from .classify import DEFAULT_TOL, is_entangled, is_separable, is_state, purity_rank
 from .degree import _detect_werner_second, _pauli_vectors_vanish, degree, ls_optimize
 from .errors import QpairError, StateFileError, ValidityError
 from .families import (
@@ -154,15 +155,7 @@ def _family_payload(state, tol, rank):
     if detected is not None:
         return {"name": "werner_second", "x": detected[0], "p": detected[1]}
     if rank.rank == 2:
-        params = rank2_canonical(state, tol)
-        return {
-            "name": "rank_two",
-            "gamma1": params.gamma1,
-            "gamma2": params.gamma2,
-            "x1": params.x1,
-            "x2": params.x2,
-            "x3": params.x3,
-        }
+        return {"name": "rank_two", **asdict(rank2_canonical(state, tol))}
     return None
 
 
@@ -170,7 +163,7 @@ def _common(fn):
     fn = click.argument("input_pos", required=False, metavar="[INPUT]")(fn)
     fn = click.option("--input", "input_opt", metavar="PATH", help="StateFile path ('-' for stdin).")(fn)
     fn = click.option("--output", metavar="PATH", help="Write the report here instead of stdout.")(fn)
-    fn = click.option("--tol", type=float, default=1e-9, show_default=True, help="Classification tolerance.")(fn)
+    fn = click.option("--tol", type=float, default=DEFAULT_TOL, show_default=True, help="Classification tolerance.")(fn)
     fn = click.option("--pretty", is_flag=True, help="Indent the JSON output.")(fn)
     return fn
 
@@ -209,12 +202,8 @@ def invariants(input_pos, input_opt, output, tol, pretty):
     glob = global_invariants(loc)
     spec = spectrum(state)
     report = {
-        "local": {
-            "a2_1": loc.a2_1, "a2_2": loc.a2_2, "a2_3": loc.a2_3,
-            "a3_1": loc.a3_1, "a3_2": loc.a3_2,
-            "a4_1": loc.a4_1, "a4_2": loc.a4_2, "a4_3": loc.a4_3, "a4_4": loc.a4_4,
-        },
-        "global": {"A2": glob.A2, "A1": glob.A1, "A0": glob.A0},
+        "local": asdict(loc),
+        "global": asdict(glob),
         "det_E": det_entanglement(state),
         "trace_modulus": trace_modulus(state.C),
         "spectrum": {
@@ -240,8 +229,7 @@ def classify(input_pos, input_opt, output, tol, pretty):
         "entangled": bool(is_entangled(state, tol)),
         "separable": bool(separable.decision),
         "separability_margins": _margins(separable.margins),
-        "rank": int(rank.rank),
-        "pure": bool(rank.pure),
+        **asdict(rank),
         "family": _family_payload(state, tol, rank),
     }
     _finish("classify", state, {"tol": tol}, report, output, pretty)
@@ -265,14 +253,7 @@ def canonical(input_pos, input_opt, output, tol, pretty):
     if rank.pure:
         report["pure"] = {"p": pure_canonical(state, tol)}
     elif rank.rank == 2:
-        params = rank2_canonical(state, tol)
-        report["rank2"] = {
-            "gamma1": params.gamma1,
-            "gamma2": params.gamma2,
-            "x1": params.x1,
-            "x2": params.x2,
-            "x3": params.x3,
-        }
+        report["rank2"] = asdict(rank2_canonical(state, tol))
     _finish("canonical", state, {"tol": tol}, report, output, pretty)
 
 

@@ -16,7 +16,7 @@ bound on S, together with a dual upper bound.  The closed forms and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Mapping, Optional
 
 import numpy as np
@@ -27,9 +27,9 @@ from scipy.optimize import minimize  # noqa: F401
 
 from . import _kernels
 
-# _kernels.neg_lambda_objective: only perfbench's kernel micro-workload still
-# calls it.  _kernels.chart_amplitudes: only neg_lambda_objective, hence only
-# that micro-workload, still calls it.
+# _kernels.neg_lambda_objective and _kernels.max_feasible_lambda: only
+# perfbench's kernel micro-workload still calls them.  _kernels.chart_amplitudes
+# and _kernels.lam_margin: only those two, hence only that micro-workload.
 from .canonical import rank2_canonical
 from .classify import DEFAULT_TOL, is_separable, is_state, purity_rank
 from .errors import ConvergenceError, NumericalInconsistencyError, PreconditionError
@@ -53,15 +53,12 @@ __all__ = [
     "degree_werner_second",
     "degree_rank2",
     "rank2_separable_pures",
-    "ls_lambda_for_pure",
     "ls_optimize",
     "degree",
 ]
 
 # eigenvalue slack allowed on the normalized separable part of a split
 _FEAS_TOL = 1e-10
-# resolution of the weight bisection in ls_lambda_for_pure
-_LAM_TOL = 1e-6
 # golden-section steps of the rank-2 mixture weight: 0.618^70 < 1e-14
 _GOLDEN_STEPS = 70
 # the rank-3/4 barrier stops once its certified bracket is this narrow,
@@ -160,11 +157,16 @@ def degree_werner_first(state: TwoQubitState, tol: float = DEFAULT_TOL) -> float
         raise PreconditionError("degree_werner_first requires s = t = 0")
     if not is_state(state, tol).decision:
         raise PreconditionError("degree_werner_first requires a valid state")
+    return _werner_first(state)[0]
+
+
+def _werner_first(state):
+    """(S, det C, Spur|C|) of a valid state with s = t = 0."""
     det_c = local_invariants(state).a3_1
     tm = trace_modulus(state.C)
     if det_c >= 0.0 or tm <= 1.0:
-        return 1.0
-    return min(1.0, max(0.0, 1.5 - 0.5 * tm))
+        return 1.0, det_c, tm
+    return min(1.0, max(0.0, 1.5 - 0.5 * tm)), det_c, tm
 
 
 def _werner_second_gap(q0, x, p, q, u):
@@ -297,27 +299,6 @@ def rank2_separable_pures(gamma1: float, gamma2: float):
         Rank2Params(gamma1, gamma2, s2t, 0.0, c2t),
         Rank2Params(gamma1, gamma2, -s2t, 0.0, c2t),
     )
-
-
-def ls_lambda_for_pure(state: TwoQubitState, psi) -> float:
-    """Largest lambda whose residual (state - (1-lambda) |psi><psi|)/lambda
-    is a separable state; 0 when no positive weight works."""
-    if not is_state(state).decision:
-        raise PreconditionError("ls_lambda_for_pure requires a valid state")
-    psi = fix_global_phase(psi)
-    rho = to_density_matrix(state)
-    rrho = _kernels.reflect4(rho)
-    proj = pure_projector(psi)
-    rproj = _kernels.reflect4(proj)
-    lam = float(_kernels.max_feasible_lambda(rho, rrho, proj, rproj, _FEAS_TOL, _LAM_TOL))
-    if lam > 0.0:
-        # re-check the endpoint: bisection assumed interval feasibility
-        margin = float(_kernels.lam_margin(rho, rrho, proj, rproj, lam))
-        if margin < -(_FEAS_TOL * lam + 1e-13):
-            raise NumericalInconsistencyError(
-                f"endpoint lambda = {lam:.9g} re-check failed with margin {margin:.3e}"
-            )
-    return lam
 
 
 def _det2(m):
@@ -634,7 +615,8 @@ def _detect_werner_second(state: TwoQubitState):
     The reconstruction from the top eigenvector is verified against the
     input, so false positives need more than a degenerate spectrum.
     """
-    eigs, vecs = np.linalg.eigh(to_density_matrix(state))
+    rho = to_density_matrix(state)
+    eigs, vecs = np.linalg.eigh(rho)
     if eigs[2] - eigs[0] > 1e-8:
         return None
     x = 1.0 - 4.0 * float(np.mean(eigs[:3]))
@@ -642,7 +624,7 @@ def _detect_werner_second(state: TwoQubitState):
         return None
     psi = vecs[:, 3]
     predicted = x * pure_projector(psi) + (1.0 - x) / 4.0 * np.eye(4)
-    if float(np.max(np.abs(predicted - to_density_matrix(state)))) > 1e-8:
+    if float(np.max(np.abs(predicted - rho))) > 1e-8:
         return None
     pure = from_density_matrix(pure_projector(psi))
     p = float(np.linalg.norm(pure.s))
@@ -665,11 +647,12 @@ def degree(state: TwoQubitState, tol: float = DEFAULT_TOL) -> DegreeResult:
         dec = _separable_split(state, to_density_matrix(state))
         return DegreeResult(S=1.0, method="SeparableShortcut", decomposition=dec)
     if _pauli_vectors_vanish(state, tol):
-        loc = local_invariants(state)
+        # validity is settled: is_separable above raises on an invalid state
+        s_val, det_c, tm = _werner_first(state)
         return DegreeResult(
-            S=degree_werner_first(state, tol),
+            S=s_val,
             method="ClosedFormWernerFirst",
-            family_data={"det_C": loc.a3_1, "trace_modulus": trace_modulus(state.C)},
+            family_data={"det_C": det_c, "trace_modulus": tm},
         )
     detected = _detect_werner_second(state)
     if detected is not None:
@@ -686,14 +669,7 @@ def degree(state: TwoQubitState, tol: float = DEFAULT_TOL) -> DegreeResult:
         return DegreeResult(
             S=rec.S,
             method="ClosedFormRank2",
-            family_data={
-                "pair_kind": rec.pair_kind,
-                "gamma1": params.gamma1,
-                "gamma2": params.gamma2,
-                "x1": params.x1,
-                "x2": params.x2,
-                "x3": params.x3,
-            },
+            family_data={"pair_kind": rec.pair_kind, **asdict(params)},
         )
     dec = ls_optimize(state, tol=tol)
     return DegreeResult(

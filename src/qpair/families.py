@@ -32,20 +32,22 @@ __all__ = [
 ]
 
 _EPS = 1e-12
+# allowed deviation of a rotation matrix from orthogonality and unit determinant
+_ROTATION_TOL = 1e-10
 
 
-def check_rotation(o, name: str = "rotation", tol: float = 1e-10) -> np.ndarray:
+def check_rotation(o, name: str = "rotation") -> np.ndarray:
     """Validate a proper rotation matrix and return it as a float array."""
     o = np.asarray(o, dtype=np.float64)
     if o.shape != (3, 3):
         raise ValueError(f"{name} must be 3x3, got {o.shape}")
     residual = np.max(np.abs(o.T @ o - np.eye(3)))
-    if residual > tol:
+    if residual > _ROTATION_TOL:
         raise ValueError(
-            f"{name} is not orthogonal: max |O^T O - 1| = {residual:.3e} > {tol:.1e}"
+            f"{name} is not orthogonal: max |O^T O - 1| = {residual:.3e} > {_ROTATION_TOL:.1e}"
         )
     det = np.linalg.det(o)
-    if abs(det - 1.0) > tol:
+    if abs(det - 1.0) > _ROTATION_TOL:
         raise ValueError(f"{name} must have determinant +1, got {det:.17g}")
     return o
 

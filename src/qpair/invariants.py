@@ -111,7 +111,11 @@ def local_invariants(state: TwoQubitState) -> LocalInvariants:
 
 def det_entanglement(state: TwoQubitState) -> float:
     """det E = det C - s.sub(C).t, checked against det(C - s t^T) directly."""
-    loc = local_invariants(state)
+    return _det_entanglement(state, local_invariants(state))
+
+
+def _det_entanglement(state, loc):
+    """``det_entanglement`` from the state's already computed local invariants."""
     value = loc.a3_1 - loc.a4_2
     direct = float(np.linalg.det(entanglement_dyadic(state)))
     tol = 1e-12 * max(1.0, abs(loc.a3_1) + abs(loc.a4_2))

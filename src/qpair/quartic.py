@@ -42,6 +42,8 @@ _EPS = float(np.finfo(np.float64).eps)
 # units, so the floor keeps a wide margin for the multiple roots it must
 # catch.
 _NOISE_UNITS = 64.0
+# largest imaginary residue of a companion root that still counts as real
+_IMAG_ERROR = 1e-6
 
 
 def _horner(coeffs, z):
@@ -151,12 +153,12 @@ def _interlaced_roots(poly, dpoly, crit, seeds, bound):
     return roots, any(ratio > 1.0 for ratio, _ in merges)
 
 
-def real_quartic_roots(a3, a2, a1, a0, imag_error: float = 1e-6) -> np.ndarray:
+def real_quartic_roots(a3, a2, a1, a0) -> np.ndarray:
     """All four roots of z^4 + a3 z^3 + a2 z^2 + a1 z + a0, descending.
 
     Expects a polynomial whose roots are real (a Hermitian characteristic
     polynomial).  Residual imaginary parts after refinement are truncated;
-    if any exceeds ``imag_error`` the input was not real-rooted to working
+    if any exceeds ``_IMAG_ERROR`` the input was not real-rooted to working
     precision and a ``NumericalInconsistencyError`` is raised.
 
     Returns
@@ -204,9 +206,9 @@ def real_quartic_roots(a3, a2, a1, a0, imag_error: float = 1e-6) -> np.ndarray:
     # only failed interlacing shows that the input has a complex pair
     if complex0 or complex1 or complex2:
         worst_imag = float(np.max(np.abs(members.imag)))
-        if worst_imag > imag_error:
+        if worst_imag > _IMAG_ERROR:
             raise NumericalInconsistencyError(
                 f"quartic expected real roots, found imaginary residue {worst_imag:.3e} "
-                f"> {imag_error:.1e} (non-Hermitian input upstream?)"
+                f"> {_IMAG_ERROR:.1e} (non-Hermitian input upstream?)"
             )
     return np.sort(np.asarray(roots))[::-1]

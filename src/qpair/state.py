@@ -59,6 +59,11 @@ del _i, _j
 
 _AXES = "xyz"
 
+# allowed deviation of mixing weights from summing to one
+_WEIGHT_SUM_TOL = 1e-9
+# pure-state vectors and components this small count as zero
+_PHASE_TOL = 1e-12
+
 
 def _frozen_array(value, shape, name):
     arr = np.array(value, dtype=np.float64)
@@ -155,24 +160,8 @@ def from_density_matrix(m, tol: float = 1e-9) -> TwoQubitState:
     return TwoQubitState(s=coeff[1:, 0], t=coeff[0, 1:], C=coeff[1:, 1:])
 
 
-def reduced_states(state: TwoQubitState, check: bool = False):
-    """Pauli vectors (s, t) of the two single-qubit reductions.
-
-    With ``check=True`` the vectors are verified against partial traces of
-    the density matrix (a redundant path, useful when debugging basis
-    conventions).
-    """
-    if check:
-        m = to_density_matrix(state)
-        # Basis index is 2 i + k with i on q-bit 1, so tracing out q-bit 2
-        # sums the stride-2 diagonal blocks and tracing out q-bit 1 the
-        # contiguous ones.
-        rho1 = m[0::2, 0::2] + m[1::2, 1::2]
-        rho2 = m[:2, :2] + m[2:, 2:]
-        s = np.array([np.trace(PAULI[a + 1] @ rho1).real for a in range(3)])
-        t = np.array([np.trace(PAULI[b + 1] @ rho2).real for b in range(3)])
-        if not (np.allclose(s, state.s, atol=1e-12) and np.allclose(t, state.t, atol=1e-12)):
-            raise RepresentationError("partial traces disagree with stored Pauli vectors")
+def reduced_states(state: TwoQubitState):
+    """Pauli vectors (s, t) of the two single-qubit reductions."""
     return state.s.copy(), state.t.copy()
 
 
@@ -203,14 +192,14 @@ def reflect(state: TwoQubitState, kind: str) -> TwoQubitState:
     raise ValueError(f"kind must be 'global' or 'partial', got {kind!r}")
 
 
-def mix(states, weights, tol: float = 1e-9) -> TwoQubitState:
+def mix(states, weights) -> TwoQubitState:
     """Convex combination of states, componentwise on (s, t, C).
 
     Parameters
     ----------
     states : sequence of TwoQubitState
     weights : sequence of float
-        Nonnegative, summing to 1 within ``tol``.
+        Nonnegative, summing to 1 within ``_WEIGHT_SUM_TOL``.
     """
     states = list(states)
     weights = np.asarray(weights, dtype=np.float64)
@@ -223,8 +212,8 @@ def mix(states, weights, tol: float = 1e-9) -> TwoQubitState:
     if np.any(weights < 0):
         raise ValueError(f"negative mixing weight: {weights.min():.3e}")
     total = weights.sum()
-    if abs(total - 1.0) > tol:
-        raise ValueError(f"weights sum to {total:.17g}, expected 1 within {tol:.1e}")
+    if abs(total - 1.0) > _WEIGHT_SUM_TOL:
+        raise ValueError(f"weights sum to {total:.17g}, expected 1 within {_WEIGHT_SUM_TOL:.1e}")
     s = sum(w * st.s for w, st in zip(weights, states))
     t = sum(w * st.t for w, st in zip(weights, states))
     c = sum(w * st.C for w, st in zip(weights, states))
@@ -248,19 +237,19 @@ def random_state(seed, target_rank=None) -> TwoQubitState:
     return from_density_matrix(m)
 
 
-def fix_global_phase(psi, tol: float = 1e-12) -> np.ndarray:
+def fix_global_phase(psi) -> np.ndarray:
     """Normalize a pure-state 4-vector and fix its global phase.
 
-    The phase is chosen so the first component of magnitude above ``tol``
-    is real and positive.
+    The phase is chosen so the first component of magnitude above
+    ``_PHASE_TOL`` is real and positive.
     """
     psi = np.asarray(psi, dtype=np.complex128).reshape(4)
     norm = np.linalg.norm(psi)
-    if norm < tol:
+    if norm < _PHASE_TOL:
         raise RepresentationError(f"pure-state vector has norm {norm:.3e}")
     psi = psi / norm
     for comp in psi:
-        if abs(comp) > tol:
+        if abs(comp) > _PHASE_TOL:
             psi = psi * (comp.conjugate() / abs(comp))
             break
     return psi

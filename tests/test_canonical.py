@@ -22,6 +22,7 @@ from qpair import (
     pure_canonical,
     random_state,
     rank2_canonical,
+    rank2_family_params,
     to_density_matrix,
 )
 from qpair.canonical import CanonicalForm, apply_local, diagonalize_cross
@@ -172,6 +173,30 @@ def test_rank2_canonical_quotients_sign_flip(rng):
     assert a.x2 == pytest.approx(b.x2, abs=1e-7)
     assert a.x3 == pytest.approx(b.x3, abs=1e-7)
     assert a.x1 > 0
+
+
+@pytest.mark.parametrize("start", ["analytic", "family_frame"])
+def test_rank2_canonical_quotients_angle_swap(start, monkeypatch):
+    # The generic form written with gamma1 < gamma2 describes the same
+    # local orbit as (g2, g1, -x2, x1, x3), the image under the
+    # (pi/2, -pi/2) z-rotation pair; the (pi, pi) pair then makes x1 > 0.
+    # The analytic first frame already orders the angles (its in-plane SVD
+    # sorts the support projector's M block), so only a search started in
+    # the input's own frame takes the swap.
+    import qpair.canonical as canon
+
+    if start == "family_frame":
+        monkeypatch.setattr(canon, "_initial_frame", lambda pu, pv, pm: (np.eye(3), np.eye(3)))
+    g1, g2, x1, x2, x3 = 0.4, 1.1, 0.3, 0.25, 0.2
+    state = TwoQubitState(*rank2_family_params(g1, g2, x1, x2, x3))
+    got, o_ee, o_nn = rank2_canonical(state, return_frame=True)
+    assert got.gamma1 == pytest.approx(g2, abs=1e-7)
+    assert got.gamma2 == pytest.approx(g1, abs=1e-7)
+    assert got.x1 == pytest.approx(x2, abs=1e-7)
+    assert got.x2 == pytest.approx(-x1, abs=1e-7)
+    assert got.x3 == pytest.approx(x3, abs=1e-7)
+    aligned = apply_local(state, o_ee, o_nn)
+    assert np.allclose(aligned.as_vector(), construct_family(RankTwo(got)).as_vector(), atol=1e-7)
 
 
 def test_rank2_canonical_equal_angles(rng):

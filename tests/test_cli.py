@@ -151,6 +151,10 @@ def test_random_bell_classify_pipeline():
             ["--family", "generic_pure", "--params", "0.6"],
             {"name": "generic_pure", "p": 0.6},
         ),
+        (
+            ["--family", "werner_second", "--params", "0.9,0.4"],
+            {"name": "werner_second", "x": 0.9, "p": 0.4},
+        ),
     ],
 )
 def test_classify_detects_family(args, expected):

@@ -32,7 +32,6 @@ from qpair import (
     degree_werner_second,
     from_density_matrix,
     is_separable,
-    ls_lambda_for_pure,
     ls_optimize,
     mix,
     product_state,
@@ -42,7 +41,6 @@ from qpair import (
     to_density_matrix,
 )
 
-_SINGLET = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0)
 _G2 = math.atan(0.5)  # with gamma1 = pi/4 this puts theta at pi/6
 
 
@@ -188,25 +186,6 @@ def test_rank2_separable_pures():
     assert len(only) == 1
     assert np.allclose(only[0].x, [0.0, 0.0, 1.0])
     assert rank2_separable_pures(0.0, 0.0) is None
-
-
-def test_ls_lambda_for_pure_werner_singlet():
-    state = construct_family(Werner(0.6))
-    lam = ls_lambda_for_pure(state, _SINGLET)
-    assert lam == pytest.approx(0.6, abs=1e-6)
-    # A poorly chosen pure part certifies less.
-    lam_bad = ls_lambda_for_pure(state, np.array([1.0, 0, 0, 0]))
-    assert lam_bad < 0.55
-
-
-def test_ls_lambda_for_pure_bell_is_zero():
-    assert ls_lambda_for_pure(construct_family(Bell()), _SINGLET) == 0.0
-
-
-def test_ls_lambda_for_pure_requires_validity():
-    invalid = TwoQubitState(s=np.zeros(3), t=np.zeros(3), C=-np.diag([0.8, 0.5, 0.2]))
-    with pytest.raises(PreconditionError, match="valid"):
-        ls_lambda_for_pure(invalid, _SINGLET)
 
 
 def _check_decomposition(state, dec, atol=1e-8):
