@@ -1,10 +1,11 @@
 """Small numeric kernels.
 
-``reflect4`` gives ``degree``'s split margins; ``_golden_max`` and ``_bisect``
-serve ``degree._rank2_split`` and ``degree.degree_werner_second``.  Only
-perfbench's kernel micro-workload, which pins their values, calls
+``reflect4`` gives ``degree``'s split margins and its barrier's partial
+reflection, on one matrix or a stack.  ``_golden_max`` and ``_bisect`` serve
+``degree.degree_werner_second`` and the harness-only weight solve below:
+only perfbench's kernel micro-workload, which pins their values, calls
 ``max_feasible_lambda`` and ``neg_lambda_objective`` (weight solve and
-objective of the retired pure-part search); ``lam_margin`` and
+objective of the retired pure-part search), and ``lam_margin`` and
 ``chart_amplitudes`` serve only those two.
 
 The feasible set of the weight lam is an interval: the smallest eigenvalue
@@ -37,23 +38,15 @@ _GOLDEN = 0.6180339887498949
 def reflect4(m):
     """Partial reflection of a 4x4 matrix: 1 (x) tr_1(m) - m.
 
-    Written out entry by entry, with no Kronecker product.  Equals the
-    density matrix of the parameter map (s, t, C) -> (-s, t, -C) and
-    shares its spectrum with the partial transpose.
+    Written with 2x2 blocks, no Kronecker product, on the last two axes, so
+    a stack of matrices reflects in one call.  Equals the density matrix of
+    the parameter map (s, t, C) -> (-s, t, -C), shares its spectrum with the
+    partial transpose, and is an involution, self-adjoint under tr(AB).
     """
     out = -m.copy()
-    r00 = m[0, 0] + m[2, 2]
-    r01 = m[0, 1] + m[2, 3]
-    r10 = m[1, 0] + m[3, 2]
-    r11 = m[1, 1] + m[3, 3]
-    out[0, 0] += r00
-    out[0, 1] += r01
-    out[1, 0] += r10
-    out[1, 1] += r11
-    out[2, 2] += r00
-    out[2, 3] += r01
-    out[3, 2] += r10
-    out[3, 3] += r11
+    reduced = m[..., :2, :2] + m[..., 2:, 2:]
+    out[..., :2, :2] += reduced
+    out[..., 2:, 2:] += reduced
     return out
 
 

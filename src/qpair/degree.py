@@ -3,20 +3,22 @@
 The degree S of a state is the largest weight lambda such that the state
 splits as lambda * (separable) + (1 - lambda) * (pure).  Four families have
 closed forms.  ``ls_optimize`` computes the split itself: separable and pure
-inputs are immediate, an entangled rank-2 state has an exact
-one-dimensional solve over the product states of its support, and ranks 3
-and 4 go to a log-barrier semidefinite program restricted to the support.
-For two qubits PPT is separable and the best split leaves a pure remainder,
-so S = max tr sigma over sigma >= 0, sigma^Gamma >= 0, rho - sigma >= 0.
-The barrier returns a feasible split, whose weight is a certified lower
-bound on S, together with a dual upper bound.  The closed forms and
-``ls_optimize`` double as cross-checks for each other.
+inputs are immediate, an entangled rank-2 state has a closed-form split over
+the product states of its support, and ranks 3 and 4 go to a log-barrier
+semidefinite program restricted to the support, since for two qubits PPT
+is separable and the best split leaves a pure remainder:
+S = max tr sigma over sigma >= 0, sigma^Gamma >= 0, rho - sigma >= 0.
+The barrier's feasible split certifies a lower bound on S and its dual an
+upper bound.  Rank-2 and barrier splits divide the separable part
+rho - w |psi><psi| by its own trace.  The closed forms and ``ls_optimize``
+cross-check each other.  Only ``degree_werner_second`` still searches,
+with ``_kernels._golden_max`` and ``_kernels._bisect``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Mapping, Optional
 
 import numpy as np
@@ -26,14 +28,10 @@ import numpy as np
 from scipy.optimize import minimize  # noqa: F401
 
 from . import _kernels
-
-# _kernels.neg_lambda_objective and _kernels.max_feasible_lambda: only
-# perfbench's kernel micro-workload still calls them.  _kernels.chart_amplitudes
-# and _kernels.lam_margin: only those two, hence only that micro-workload.
 from .canonical import rank2_canonical
 from .classify import DEFAULT_TOL, is_separable, is_state, purity_rank
 from .errors import ConvergenceError, NumericalInconsistencyError, PreconditionError
-from .families import Rank2Params
+from .families import Chaotic, Rank2Params, RankTwo, construct_family
 from .invariants import local_invariants, trace_modulus
 from .state import (
     TwoQubitState,
@@ -59,8 +57,18 @@ __all__ = [
 
 # eigenvalue slack allowed on the normalized separable part of a split
 _FEAS_TOL = 1e-10
-# golden-section steps of the rank-2 mixture weight: 0.618^70 < 1e-14
-_GOLDEN_STEPS = 70
+# Hermiticity and trace slack when a split's normalized separable part is read back
+_SPLIT_TOL = 1e-7
+# rounding slack of closed-form quantities of order one (range ends, angles, gaps)
+_EXACT_SLACK = 1e-12
+# relative size at which a coefficient of the product-state quadratic counts as zero
+_QUADRATIC_TOL = 1e-13
+# chaos-plus-pure detection: allowed eigenvalue spread and reconstruction error
+_DETECT_TOL = 1e-8
+# x or p this small is chaos or a Bell state rather than a chaos-plus-pure member
+_FAMILY_EDGE = 1e-9
+# resolution of the Werner-second q0 bisection
+_Q0_RESOLUTION = 1e-10
 # the rank-3/4 barrier stops once its certified bracket is this narrow,
 _GAP_TOL = 1e-8
 # or once its own duality gap (2r + 4)/t is this small
@@ -96,7 +104,7 @@ class LSDecomposition:
     pure: Optional[np.ndarray]
     margins: Mapping[str, float]
     objective_history: tuple
-    upper_bound: Optional[float] = None
+    upper_bound: float
     newton_steps: int = 0
 
 
@@ -133,7 +141,7 @@ class Rank2Degree:
 
 def degree_werner(x: float) -> float:
     """Closed form for Bell-chaos mixtures: 1 for x <= 1/3, else 3(1-x)/2."""
-    if not -1.0 / 3.0 - 1e-12 <= x <= 1.0 + 1e-12:
+    if not -1.0 / 3.0 - _EXACT_SLACK <= x <= 1.0 + _EXACT_SLACK:
         raise ValueError(f"Werner weight must lie in [-1/3, 1], got {x}")
     if x <= 1.0 / 3.0:
         return 1.0
@@ -191,7 +199,7 @@ def degree_werner_second(x: float, p: float) -> WernerSecondDegree:
     unimodal gap because the feasible interval pinches to a single point
     as x -> 1.
     """
-    if not -1.0 / 3.0 - 1e-12 <= x <= 1.0 + 1e-12:
+    if not -1.0 / 3.0 - _EXACT_SLACK <= x <= 1.0 + _EXACT_SLACK:
         raise ValueError(f"mixing weight must lie in [-1/3, 1], got {x}")
     if not 0.0 < p < 1.0:
         raise ValueError(f"pure-part parameter must lie strictly in (0, 1), got {p}")
@@ -221,17 +229,17 @@ def degree_werner_second(x: float, p: float) -> WernerSecondDegree:
             # interval narrower than the scan: golden-section the minimum
             qm, neg_gm = _kernels._golden_max(lambda q0: -gap(q0), 90)
             gm = -neg_gm
-            if gm > 1e-12:
+            if gm > _EXACT_SLACK:
                 raise ConvergenceError(
                     f"no feasible q0 for x = {x}, p = {p} (minimal gap {gm:.3e})",
                     residual=gm,
                 )
-            if gm >= -1e-12:
+            if gm >= -_EXACT_SLACK:
                 # feasible set degenerated to (numerically) one point
                 lo = hi = qm
             else:
                 lo, hi = qm, 1.0
-        q0 = _kernels._bisect(lambda q0: gap(q0) <= 0.0, lo, hi, 1e-10)
+        q0 = _kernels._bisect(lambda q0: gap(q0) <= 0.0, lo, hi, _Q0_RESOLUTION)
     p0 = math.sqrt(max(0.0, 1.0 - q0 * q0))
     s_val = 1.0 - u / q0
     return WernerSecondDegree(S=min(1.0, max(0.0, s_val)), q0=q0, p0=p0)
@@ -258,10 +266,8 @@ def degree_rank2(params: Rank2Params, tol: float = DEFAULT_TOL) -> Rank2Degree:
         raise TypeError(f"expected Rank2Params, got {type(params).__name__}")
     s1 = math.sin(params.gamma1)
     c2 = math.cos(params.gamma2)
-    if s1 * c2 <= 1e-12:
+    if s1 * c2 <= _EXACT_SLACK:
         return Rank2Degree(S=1.0, pair_kind=None)
-    from .families import RankTwo, construct_family
-
     state = construct_family(RankTwo(params))
     if is_separable(state, tol).decision:
         return Rank2Degree(S=1.0, pair_kind=None)
@@ -289,11 +295,11 @@ def rank2_separable_pures(gamma1: float, gamma2: float):
     gamma1 > gamma2, one (x = (0, 0, 1)) for equal nonzero angles, and
     None for degenerate subspaces where every member state is separable.
     """
-    if math.sin(gamma1) * math.cos(gamma2) <= 1e-12:
+    if math.sin(gamma1) * math.cos(gamma2) <= _EXACT_SLACK:
         return None
     theta = _rank2_theta(Rank2Params(gamma1, gamma2, 0.0, 0.0, 0.0))
     s2t, c2t = math.sin(2.0 * theta), math.cos(2.0 * theta)
-    if s2t <= 1e-12:
+    if s2t <= _EXACT_SLACK:
         return (Rank2Params(gamma1, gamma2, 0.0, 0.0, 1.0),)
     return (
         Rank2Params(gamma1, gamma2, s2t, 0.0, c2t),
@@ -320,18 +326,14 @@ def _support_product_states(u_support):
     c0 = _det2(a)
     scale = 1.0 + abs(c1) + abs(c0)
     vectors = []
-    if abs(c2) <= 1e-13 * scale:
+    if abs(c2) <= _QUADRATIC_TOL * scale:
         vectors.append(u_support[:, 1])
-        if abs(c1) > 1e-13 * scale:
+        if abs(c1) > _QUADRATIC_TOL * scale:
             vectors.append(u_support[:, 0] - (c0 / c1) * u_support[:, 1])
     else:
         for z in np.roots([c2, c1, c0]):
             vectors.append(u_support[:, 0] + z * u_support[:, 1])
     return [v / np.linalg.norm(v) for v in vectors]
-
-
-def _chaotic_state():
-    return TwoQubitState(s=np.zeros(3), t=np.zeros(3), C=np.zeros((3, 3)))
 
 
 def _sep_margins(sep_rho):
@@ -352,42 +354,58 @@ def _separable_split(state, rho):
     )
 
 
+def _pure_split(rho, w, psi):
+    """The split rho = (1 - w) sep + w |psi><psi| as an exact route reports it.
+
+    sep is rho - w |psi><psi|, Hermitized and divided by its own trace, not
+    by 1 - w, whose rounding relative to a tiny 1 - w breaks the unit trace.
+    """
+    part = rho - w * np.outer(psi, psi.conj())
+    sep_rho = (part + part.conj().T) / (2.0 * np.trace(part).real)
+    lam = 1.0 - w
+    return LSDecomposition(
+        lambda_=lam,
+        sep=from_density_matrix(sep_rho, tol=_SPLIT_TOL),
+        pure=fix_global_phase(psi),
+        margins=_sep_margins(sep_rho),
+        objective_history=((0, lam),),
+        upper_bound=lam,
+    )
+
+
 def _rank2_split(rho, eigs, vecs):
     """The exact best split of an entangled rank-2 state.
 
     A separable part must lie in the two-dimensional support, where the
     separable states are exactly the mixtures sigma(mu) of the support's
     product states.  In the support basis rho is rho2 = diag(eigs), and
-    the largest weight with rho2 - lam sigma(mu) positive is
-    1 / lambda_max(rho2^(-1/2) sigma(mu) rho2^(-1/2)).  That weight is
-    quasi-concave in mu, so golden section and both endpoints find its
-    maximum; the residual there has rank one and its range is the pure part.
+    the largest weight with rho2 - lam sigma(mu) positive is 1 / lambda_max
+    of the whitened mixture mu w0 w0^dagger + (1 - mu) w1 w1^dagger, with
+    w = rho2^(-1/2) q for the product states q.  With a = |w0|^2,
+    b = |w1|^2, c = |<w0, w1>|, d = a - b and g = ab - c^2, lambda_max is
+    (b + mu d + hypot(mu a - (1 - mu) b, 2c sqrt(mu (1 - mu)))) / 2, convex
+    in mu, so its minimum lies at an end of [0, 1] or where its derivative
+    vanishes: after squaring, (d^2 + 4g) mu^2 + (2bd - 4g) mu + (g - bd) = 0,
+    whose discriminant 4 d^2 c^2 makes both roots real.  The residual at
+    the best mu has rank one and its range is the pure part.
     """
     u_support = vecs[:, 2:]
     points = [u_support.conj().T @ psi for psi in _support_product_states(u_support)]
     q0, q1 = points[0], points[-1]
     w0, w1 = q0 / np.sqrt(eigs[2:]), q1 / np.sqrt(eigs[2:])
+    a, b, c = np.vdot(w0, w0).real, np.vdot(w1, w1).real, abs(np.vdot(w0, w1))
+    d, g = a - b, a * b - c * c
 
     def weight(mu):
-        whitened = mu * np.outer(w0, w0.conj()) + (1.0 - mu) * np.outer(w1, w1.conj())
-        return 1.0 / float(np.linalg.eigvalsh(whitened)[1])
+        spread = math.hypot(mu * a - (1.0 - mu) * b, 2.0 * c * math.sqrt(mu * (1.0 - mu)))
+        return 2.0 / (b + mu * d + spread)
 
-    mu, lam = max(
-        (_kernels._golden_max(weight, _GOLDEN_STEPS), (0.0, weight(0.0)), (1.0, weight(1.0))),
-        key=lambda cand: cand[1],
-    )
+    lead = d * d + 4.0 * g
+    roots = [(2.0 * g - b * d + s * abs(d) * c) / lead for s in (1, -1)] if lead > 0.0 else []
+    lam, mu = max((weight(mu), mu) for mu in [0.0, 1.0, *roots] if 0.0 <= mu <= 1.0)
     sigma = mu * np.outer(q0, q0.conj()) + (1.0 - mu) * np.outer(q1, q1.conj())
     residual = np.diag(eigs[2:]) - lam * sigma
-    psi = u_support @ np.linalg.eigh(residual)[1][:, 1]
-    sep_rho = (rho - (1.0 - lam) * np.outer(psi, psi.conj())) / lam
-    return LSDecomposition(
-        lambda_=lam,
-        sep=from_density_matrix(sep_rho, tol=1e-7),
-        pure=fix_global_phase(psi),
-        margins=_sep_margins(sep_rho),
-        objective_history=((0, lam),),
-        upper_bound=lam,
-    )
+    return _pure_split(rho, 1.0 - lam, u_support @ np.linalg.eigh(residual)[1][:, 1])
 
 
 def _hermitian_basis(r):
@@ -401,12 +419,6 @@ def _hermitian_basis(r):
         else:
             basis[k, i, j], basis[k, j, i] = 1j * math.sqrt(0.5), -1j * math.sqrt(0.5)
     return basis
-
-
-def _partial_transpose(m):
-    """Transpose on the second qubit, for one 4x4 matrix or a stack of them."""
-    lead = m.shape[:-2]
-    return m.reshape(*lead, 2, 2, 2, 2).swapaxes(-1, -3).reshape(*lead, 4, 4)
 
 
 def _psd_part(m):
@@ -430,26 +442,28 @@ def _pd_inverse(m):
 def _barrier_split(rho, eigs, vecs, rank, tol):
     """The certified best split of an entangled rank-3 or rank-4 state.
 
-    S = max tr sigma over sigma >= 0, sigma^Gamma >= 0, rho - sigma >= 0
-    (PPT is separable for two qubits).  sigma lies in the support, so
-    sigma = V X V^dagger with X an r x r Hermitian matrix written in an
-    orthonormal basis (r^2 real coordinates), and D - X >= 0 with D the
-    support eigenvalues.  A rank-3 state whose kernel vector is a product
-    a (x) b (second Schmidt coefficient at most ``tol``) has no strictly
-    feasible point: every feasible sigma^Gamma annihilates k' = a (x) b*.
-    Besides the support, that adds one complex equation,
-    <a_perp b| sigma |a b_perp> = 0, which restricts X to a subspace, and
-    the PPT block is taken on the complement of k'.
+    S = max tr sigma over sigma >= 0, R(sigma) >= 0, rho - sigma >= 0
+    (PPT is separable for two qubits), where R = ``_kernels.reflect4`` is a
+    unitary conjugate of the partial transpose, self-adjoint under tr(AB).
+    sigma lies in the support, so sigma = V X V^dagger with X an r x r
+    Hermitian matrix written in an orthonormal basis (r^2 real
+    coordinates), and D - X >= 0 with D the support eigenvalues.  A rank-3
+    state whose kernel vector is a product a (x) b (second Schmidt
+    coefficient at most ``tol``) has no strictly feasible point: every
+    feasible R(sigma) annihilates k' = a_perp (x) b.  Besides the support,
+    that adds one complex equation, <a_perp b| sigma |a b_perp> = 0, which
+    restricts X to a subspace, and the PPT block is taken on the
+    complement of k'.
 
     All blocks form one block-diagonal S(y) = blockdiag(X, D - X, P),
     affine in the coordinates y, and damped Newton minimizes
     -t tr X - log det S(y) for t growing by _T_GROWTH per stage from the
     strictly feasible X = (min D / 2) 1.  Each stage yields
-    - a lower bound: with (w, psi) the top eigenpair of rho - sigma, the
-      split lambda = 1 - w, sep = (rho - w |psi><psi|)/lambda reproduces
-      rho exactly; it counts only if its margins pass;
+    - a lower bound: with (w, psi) the top eigenpair of rho - sigma,
+      ``_pure_split`` gives lambda = 1 - w and a sep that reproduces rho;
+      it counts only if its margins pass;
     - an upper bound tr(D Z): the last Newton step gives the dual estimate
-      W = (S^-1 - S^-1 dS S^-1)/t, and Z = 1 + A + V^dagger B^Gamma V with
+      W = (S^-1 - S^-1 dS S^-1)/t, and Z = 1 + A + V^dagger R(B) V with
       A, B the PSD parts of W's X and P blocks is dual feasible; on a
       reduced face the equality multipliers are free, so Z's component
       across the face is taken from W's D - X block.
@@ -462,16 +476,16 @@ def _barrier_split(rho, eigs, vecs, rank, tol):
     # reproduces rho, so its margins may carry their weight
     outside = float(np.sum(np.abs(eigs[: 4 - r])))
     herm = _hermitian_basis(r)
-    reflected = _partial_transpose(v @ herm @ v.conj().T)
+    reflected = _kernels.reflect4(v @ herm @ v.conj().T)
     null, keep = np.eye(r * r), np.eye(4)
     if r == 3:
         left, schmidt, right = np.linalg.svd(vecs[:, 0].reshape(2, 2))
         if schmidt[1] <= tol:
-            bra = v.conj().T @ np.kron(left[:, 1], right[0])
+            reflected_kernel = np.kron(left[:, 1], right[0])
+            bra = v.conj().T @ reflected_kernel
             ket = v.conj().T @ np.kron(left[:, 0], right[1])
             equation = np.einsum("a,kab,b->k", bra.conj(), herm, ket)
             null = np.linalg.svd(np.stack([equation.real, equation.imag]))[2][2:].T
-            reflected_kernel = np.kron(left[:, 0], right[0].conj())
             keep = np.linalg.svd(reflected_kernel[:, None])[0][:, 1:]
     basis = np.einsum("kj,kab->jab", null, herm)
     q = keep.shape[1]
@@ -532,18 +546,17 @@ def _barrier_split(rho, eigs, vecs, rank, tol):
         x_mat = s_mat[:r, :r]
         dual = (inv - inv @ np.einsum("j,jab->ab", dy, blocks) @ inv) / t
         dual_y = dual[r : 2 * r, r : 2 * r]
-        reflected_b = _partial_transpose(keep @ _psd_part(dual[2 * r :, 2 * r :]) @ keep.conj().T)
+        reflected_b = _kernels.reflect4(keep @ _psd_part(dual[2 * r :, 2 * r :]) @ keep.conj().T)
         z = np.eye(r) + _psd_part(dual[:r, :r]) + v.conj().T @ reflected_b @ v
         z = dual_y + np.einsum("j,jab->ab", np.einsum("jab,ba->j", basis, z - dual_y).real, basis)
         best_upper = min(best_upper, float(np.einsum("a,aa->", d, _psd_part(z)).real))
 
         w, u = np.linalg.eigh(rho - v @ x_mat @ v.conj().T)
-        lam, psi = 1.0 - float(w[3]), u[:, 3]
+        lam = 1.0 - float(w[3])
         if lam > best_lower:
-            part = rho - w[3] * np.outer(psi, psi.conj())
-            margins = _sep_margins(part / lam)
-            if lam * min(margins.values()) >= -(_FEAS_TOL * lam + outside):
-                best_lower, best = lam, (part / lam, psi, margins)
+            split = _pure_split(rho, float(w[3]), u[:, 3])
+            if lam * min(split.margins.values()) >= -(_FEAS_TOL * lam + outside + _kernels._FLOOR):
+                best_lower, best = lam, split
         history.append((len(history), best_lower))
         if best_upper - best_lower <= _GAP_TOL or (2 * r + 4) / t <= _BARRIER_GAP:
             break
@@ -555,15 +568,8 @@ def _barrier_split(rho, eigs, vecs, rank, tol):
         raise NumericalInconsistencyError(
             f"dual bound {best_upper:.12g} lies below the split weight {best_lower:.12g}"
         )
-    sep_rho, psi, margins = best
-    return LSDecomposition(
-        lambda_=best_lower,
-        sep=from_density_matrix(sep_rho, tol=1e-7),
-        pure=fix_global_phase(psi),
-        margins=margins,
-        objective_history=tuple(history),
-        upper_bound=best_upper,
-        newton_steps=steps,
+    return replace(
+        best, objective_history=tuple(history), upper_bound=best_upper, newton_steps=steps
     )
 
 
@@ -572,8 +578,8 @@ def ls_optimize(state: TwoQubitState, tol: float = DEFAULT_TOL) -> LSDecompositi
 
     ``tol`` decides validity, separability and the rank.  A separable state
     is its own split (weight 1) and an entangled pure state leaves nothing
-    separable (weight 0).  An entangled rank-2 state is solved exactly over
-    the product states of its support.  These routes are exact:
+    separable (weight 0).  An entangled rank-2 state is solved in closed form
+    over the product states of its support.  These routes are exact:
     ``upper_bound`` equals ``lambda_`` and the history is ((0, lambda),).
 
     Ranks 3 and 4 run a log-barrier SDP restricted to the support (see
@@ -596,9 +602,9 @@ def ls_optimize(state: TwoQubitState, tol: float = DEFAULT_TOL) -> LSDecompositi
         # entangled pure state: nothing separable remains
         return LSDecomposition(
             lambda_=0.0,
-            sep=_chaotic_state(),
+            sep=construct_family(Chaotic()),
             pure=fix_global_phase(vecs[:, 3]),
-            margins=_sep_margins(to_density_matrix(_chaotic_state())),
+            margins=_sep_margins(np.eye(4) / 4.0),
             objective_history=((0, 0.0),),
             upper_bound=0.0,
         )
@@ -617,18 +623,18 @@ def _detect_werner_second(state: TwoQubitState):
     """
     rho = to_density_matrix(state)
     eigs, vecs = np.linalg.eigh(rho)
-    if eigs[2] - eigs[0] > 1e-8:
+    if eigs[2] - eigs[0] > _DETECT_TOL:
         return None
     x = 1.0 - 4.0 * float(np.mean(eigs[:3]))
-    if not 1e-9 < x <= 1.0 + 1e-12:
+    if not _FAMILY_EDGE < x <= 1.0 + _EXACT_SLACK:
         return None
     psi = vecs[:, 3]
     predicted = x * pure_projector(psi) + (1.0 - x) / 4.0 * np.eye(4)
-    if float(np.max(np.abs(predicted - rho))) > 1e-8:
+    if float(np.max(np.abs(predicted - rho))) > _DETECT_TOL:
         return None
     pure = from_density_matrix(pure_projector(psi))
     p = float(np.linalg.norm(pure.s))
-    if not 1e-9 < p < 1.0 - 1e-12:
+    if not _FAMILY_EDGE < p < 1.0 - _EXACT_SLACK:
         return None
     return min(1.0, x), p
 

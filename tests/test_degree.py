@@ -237,19 +237,22 @@ def test_ls_optimize_pure_entangled():
 
 
 @pytest.mark.parametrize(
-    "params",
+    "params, atol",
     [
-        Rank2Params(math.pi / 4, _G2, 0.0, 0.4, 0.3),
-        Rank2Params(0.8, 0.8, 0.3, 0.4, -0.5),
-        Rank2Params(0.9, 0.0, 0.15, 0.3, -0.4),
-        Rank2Params(math.pi / 2, 0.6, 0.3, 0.2, 0.4),
+        (Rank2Params(math.pi / 4, _G2, 0.0, 0.4, 0.3), 1e-12),
+        # np.roots splits the double root by about sqrt(eps), which moves S
+        # by up to about 1e-7 over rotated gamma1 = gamma2 states
+        (Rank2Params(0.8, 0.8, 0.3, 0.4, -0.5), 1e-7),
+        (Rank2Params(0.9, 0.0, 0.15, 0.3, -0.4), 1e-12),
+        (Rank2Params(math.pi / 2, 0.6, 0.3, 0.2, 0.4), 1e-12),
     ],
     ids=["generic", "equal_angles", "gamma2_zero", "gamma1_right_angle"],
 )
-def test_ls_optimize_rank2_is_exact(params, monkeypatch):
-    # Entangled rank-2 states are solved over the product states of the
-    # support, with no Nelder-Mead search; gamma1 = gamma2 has one product
-    # state (a double root), the other corners sit on the chart's edges.
+def test_ls_optimize_rank2_is_exact(params, atol, monkeypatch):
+    # Entangled rank-2 states are solved in closed form over the product
+    # states of the support, with no search of any kind; gamma1 = gamma2
+    # has one product state (a double root), the other corners sit on the
+    # chart's edges.
     from qpair import apply_local
     from conftest import random_rotation
 
@@ -258,6 +261,7 @@ def test_ls_optimize_rank2_is_exact(params, monkeypatch):
 
     # the package attribute qpair.degree is the function, so go by module
     monkeypatch.setattr(importlib.import_module("qpair.degree"), "minimize", no_search)
+    monkeypatch.setattr(importlib.import_module("qpair._kernels"), "_golden_max", no_search)
     rng = np.random.default_rng(28)
     state = apply_local(
         construct_family(RankTwo(params)), random_rotation(rng), random_rotation(rng)
@@ -265,9 +269,60 @@ def test_ls_optimize_rank2_is_exact(params, monkeypatch):
     closed = degree_rank2(params)
     assert closed.pair_kind is not None
     dec = ls_optimize(state)
-    assert dec.lambda_ == pytest.approx(closed.S, abs=1e-7)
+    assert dec.lambda_ == pytest.approx(closed.S, abs=atol)
     assert dec.objective_history == ((0, dec.lambda_),)
     _check_decomposition(state, dec, atol=1e-12)
+
+
+def _bell_with_tiny_admixture(rank, seed):
+    # a locally rotated Bell state plus rank - 1 orthogonal directions of
+    # weight 1.02e-9 to 1.2e-9, just above the default tol, so S is a few
+    # 1e-9 and the separable part is 1e9 times smaller than rho
+    rng = np.random.default_rng(seed)
+    ua, ub = (np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0] for _ in "ab")
+    frame = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    frame[:, 0] = np.kron(ua, ub) @ np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0)
+    frame = np.linalg.qr(frame)[0]
+    weights = rng.uniform(1.02e-9, 1.2e-9, rank - 1)
+    rho = (1.0 - weights.sum()) * pure_projector(frame[:, 0])
+    for w, v in zip(weights, frame[:, 1:].T):
+        rho = rho + w * pure_projector(v)
+    return from_density_matrix(rho)
+
+
+def _phi_plus_with_01():
+    phi = np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0)
+    rho = (1.0 - 2e-9) * pure_projector(phi) + 2e-9 * pure_projector(np.array([0.0, 1.0, 0.0, 0.0]))
+    return from_density_matrix(rho)
+
+
+@pytest.mark.parametrize(
+    "state, rank",
+    [
+        (_phi_plus_with_01(), 2),
+        (_bell_with_tiny_admixture(3, 6), 3),
+        (_bell_with_tiny_admixture(3, 3), 3),
+        (_bell_with_tiny_admixture(4, 16), 4),
+    ],
+    ids=["rank2_phi_plus", "rank3_seed6", "rank3_seed3", "rank4_seed16"],
+)
+def test_ls_optimize_splits_states_with_tiny_S(state, rank):
+    # A weight of about 1e-9 scales up any rounding of the separable part a
+    # billionfold: its trace must still read back as 1, and the barrier must
+    # still accept eigenvalues that are negative only by rounding
+    rho = to_density_matrix(state)
+    assert np.sum(np.linalg.eigvalsh(rho) > 1e-9) == rank
+    dec = ls_optimize(state)
+    assert 0.0 < dec.lambda_ < 1e-8
+    assert dec.lambda_ <= dec.upper_bound
+    recomposed = dec.lambda_ * to_density_matrix(dec.sep) + (1.0 - dec.lambda_) * pure_projector(
+        dec.pure
+    )
+    assert np.max(np.abs(recomposed - rho)) <= 1e-12
+    if rank == 2:
+        closed = degree(state)
+        assert closed.method == "ClosedFormRank2"
+        assert dec.lambda_ == pytest.approx(closed.S, abs=1e-12)
 
 
 def _product_kernel_rank3():

@@ -41,10 +41,13 @@ def _werner_pencil(x=0.6):
 def test_reflect4_matches_parameter_reflection():
     from qpair import random_state
 
-    for seed in range(6):
-        state = random_state(seed)
-        direct = to_density_matrix(reflect(state, "partial"))
-        assert np.allclose(reflect4(to_density_matrix(state)), direct, atol=1e-14)
+    states = [random_state(seed) for seed in range(6)]
+    direct = [to_density_matrix(reflect(state, "partial")) for state in states]
+    for state, want in zip(states, direct):
+        assert np.allclose(reflect4(to_density_matrix(state)), want, atol=1e-14)
+    # a stack reflects matrix by matrix
+    stack = np.stack([to_density_matrix(state) for state in states])
+    assert np.allclose(reflect4(stack), np.stack(direct), atol=1e-14)
 
 
 def test_reflect4_is_a_trace_preserving_involution():
