@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .canonical import diagonalize_cross, pure_canonical, rank2_canonical
 from .classify import DEFAULT_TOL, is_entangled, is_separable, is_state, purity_rank
-from .degree import _detect_werner_second, _pauli_vectors_vanish, degree, ls_optimize
+from .degree import _FAMILY_EDGE, _WERNER_SPREAD, _route, degree, ls_optimize
 from .errors import QpairError, StateFileError, ValidityError
 from .families import (
     Bell,
@@ -34,10 +34,10 @@ from .families import (
     construct_family,
 )
 from .invariants import (
-    det_entanglement,
+    _det_entanglement,
+    _spectrum,
     global_invariants,
     local_invariants,
-    spectrum,
     trace_modulus,
 )
 from .io import dump_json, parse_state, serialize_state, state_payload
@@ -134,14 +134,15 @@ def _decomposition_payload(dec):
 
 
 def _family_payload(state, tol, rank):
-    if _pauli_vectors_vanish(state, tol):
+    method, data = _route(state, tol)
+    if method == "ClosedFormWernerFirst":
         if float(np.max(np.abs(state.C))) <= tol:
             return {"name": "chaotic"}
         form = diagonalize_cross(state)
         c = form.c
-        if float(c[0] - c[2]) <= 1e-9 and form.sign < 0:
+        if float(c[0] - c[2]) <= _WERNER_SPREAD and form.sign < 0:
             x = float(np.mean(c))
-            if x >= 1.0 - 1e-9:
+            if x >= 1.0 - _FAMILY_EDGE:
                 return {"name": "bell"}
             return {"name": "werner", "x": x}
         return {
@@ -151,11 +152,10 @@ def _family_payload(state, tol, rank):
         }
     if rank.pure:
         return {"name": "generic_pure", "p": float(np.linalg.norm(state.s))}
-    detected = _detect_werner_second(state)
-    if detected is not None:
-        return {"name": "werner_second", "x": detected[0], "p": detected[1]}
-    if rank.rank == 2:
-        return {"name": "rank_two", **asdict(rank2_canonical(state, tol))}
+    if method == "ClosedFormWernerSecond":
+        return {"name": "werner_second", "x": data[0], "p": data[1]}
+    if method == "ClosedFormRank2":
+        return {"name": "rank_two", **asdict(data)}
     return None
 
 
@@ -200,11 +200,11 @@ def invariants(input_pos, input_opt, output, tol, pretty):
     state = _load(input_pos, input_opt)
     loc = local_invariants(state)
     glob = global_invariants(loc)
-    spec = spectrum(state)
+    spec = _spectrum(state, glob)
     report = {
         "local": asdict(loc),
         "global": asdict(glob),
-        "det_E": det_entanglement(state),
+        "det_E": _det_entanglement(state, loc),
         "trace_modulus": trace_modulus(state.C),
         "spectrum": {
             "kappa": [float(k) for k in spec.kappa],

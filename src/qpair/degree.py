@@ -29,7 +29,7 @@ from scipy.optimize import minimize  # noqa: F401
 
 from . import _kernels
 from .canonical import rank2_canonical
-from .classify import DEFAULT_TOL, is_separable, is_state, purity_rank
+from .classify import DEFAULT_TOL, is_separable, is_state
 from .errors import ConvergenceError, NumericalInconsistencyError, PreconditionError
 from .families import Chaotic, Rank2Params, RankTwo, construct_family
 from .invariants import local_invariants, trace_modulus
@@ -65,8 +65,11 @@ _EXACT_SLACK = 1e-12
 _QUADRATIC_TOL = 1e-13
 # chaos-plus-pure detection: allowed eigenvalue spread and reconstruction error
 _DETECT_TOL = 1e-8
-# x or p this small is chaos or a Bell state rather than a chaos-plus-pure member
+# x or p this small is chaos or a Bell state rather than a chaos-plus-pure member,
+# and a Werner weight x this close to 1 is the Bell state
 _FAMILY_EDGE = 1e-9
+# spread of the cross-dyadic singular values that still counts as Werner (all equal)
+_WERNER_SPREAD = 1e-9
 # resolution of the Werner-second q0 bisection
 _Q0_RESOLUTION = 1e-10
 # the rank-3/4 barrier stops once its certified bracket is this narrow,
@@ -613,16 +616,14 @@ def ls_optimize(state: TwoQubitState, tol: float = DEFAULT_TOL) -> LSDecompositi
     return _barrier_split(rho, eigs, vecs, rank, tol)
 
 
-def _detect_werner_second(state: TwoQubitState):
+def _detect_werner_second(rho, eigs, vecs):
     """Spot the chaos-plus-pure structure from the spectrum.
 
     Requires a threefold-degenerate eigenvalue (1-x)/4 with the remaining
     weight on one pure state; returns (x, p) of that structure or None.
-    The reconstruction from the top eigenvector is verified against the
-    input, so false positives need more than a degenerate spectrum.
+    The reconstruction from the top eigenvector is verified against rho,
+    so false positives need more than a degenerate spectrum.
     """
-    rho = to_density_matrix(state)
-    eigs, vecs = np.linalg.eigh(rho)
     if eigs[2] - eigs[0] > _DETECT_TOL:
         return None
     x = 1.0 - 4.0 * float(np.mean(eigs[:3]))
@@ -639,52 +640,55 @@ def _detect_werner_second(state: TwoQubitState):
     return min(1.0, x), p
 
 
+def _route(state: TwoQubitState, tol: float):
+    """(route, data) of a valid state: the family test order of every caller.
+
+    ``degree`` and CLI ``classify`` both decide here.  s = t = 0 gives
+    (ClosedFormWernerFirst, None), chaos plus a pure state
+    (ClosedFormWernerSecond, (x, p)), rank 2 (ClosedFormRank2, Rank2Params),
+    anything else (Optimizer, None).  One ``eigh`` serves the last two tests.
+    Its eigenvalues differ from ``eigvalsh``'s by about 1e-15, so its rank can
+    disagree with ``purity_rank`` only for an eigenvalue that close to ``tol``,
+    and then ``rank2_canonical``'s precondition raises instead of answering.
+    """
+    if _pauli_vectors_vanish(state, tol):
+        return "ClosedFormWernerFirst", None
+    rho = to_density_matrix(state)
+    eigs, vecs = np.linalg.eigh(rho)
+    detected = _detect_werner_second(rho, eigs, vecs)
+    if detected is not None:
+        return "ClosedFormWernerSecond", detected
+    if int(np.sum(eigs > tol)) == 2:
+        return "ClosedFormRank2", rank2_canonical(state, tol)
+    return "Optimizer", None
+
+
 def degree(state: TwoQubitState, tol: float = DEFAULT_TOL) -> DegreeResult:
     """Dispatch to the best available route for the degree of separability.
 
-    Order: separable shortcut, vanishing-Pauli-vector closed form,
-    chaos-plus-pure closed form (covers entangled pure states at x = 1),
-    rank-2 closed form, and finally ``ls_optimize``'s barrier SDP, whose
-    S is a certified lower bound reported with its dual upper bound, the
-    gap between them and the Newton step count.
+    Order: separable shortcut, then ``_route``'s vanishing-Pauli-vector,
+    chaos-plus-pure (covers entangled pure states at x = 1) and rank-2
+    closed forms, and finally ``ls_optimize``'s barrier SDP, whose S is a
+    certified lower bound reported with its dual upper bound, the gap
+    between them and the Newton step count.
     """
-    sep_verdict = is_separable(state, tol)
-    if sep_verdict.decision:
+    if is_separable(state, tol).decision:
         dec = _separable_split(state, to_density_matrix(state))
         return DegreeResult(S=1.0, method="SeparableShortcut", decomposition=dec)
-    if _pauli_vectors_vanish(state, tol):
-        # validity is settled: is_separable above raises on an invalid state
+    # validity is settled: is_separable above raises on an invalid state
+    method, data = _route(state, tol)
+    dec = None
+    if method == "ClosedFormWernerFirst":
         s_val, det_c, tm = _werner_first(state)
-        return DegreeResult(
-            S=s_val,
-            method="ClosedFormWernerFirst",
-            family_data={"det_C": det_c, "trace_modulus": tm},
-        )
-    detected = _detect_werner_second(state)
-    if detected is not None:
-        x, p = detected
-        rec = degree_werner_second(x, p)
-        return DegreeResult(
-            S=rec.S,
-            method="ClosedFormWernerSecond",
-            family_data={"x": x, "p": p, "q0": rec.q0, "p0": rec.p0},
-        )
-    if purity_rank(state, tol).rank == 2:
-        params = rank2_canonical(state, tol)
-        rec = degree_rank2(params, tol)
-        return DegreeResult(
-            S=rec.S,
-            method="ClosedFormRank2",
-            family_data={"pair_kind": rec.pair_kind, **asdict(params)},
-        )
-    dec = ls_optimize(state, tol=tol)
-    return DegreeResult(
-        S=dec.lambda_,
-        method="Optimizer",
-        decomposition=dec,
-        family_data={
-            "upper_bound": dec.upper_bound,
-            "gap": dec.upper_bound - dec.lambda_,
-            "newton_steps": dec.newton_steps,
-        },
-    )
+        family_data = {"det_C": det_c, "trace_modulus": tm}
+    elif method == "ClosedFormWernerSecond":
+        rec = degree_werner_second(*data)
+        s_val, family_data = rec.S, {"x": data[0], "p": data[1], "q0": rec.q0, "p0": rec.p0}
+    elif method == "ClosedFormRank2":
+        rec = degree_rank2(data, tol)
+        s_val, family_data = rec.S, {"pair_kind": rec.pair_kind, **asdict(data)}
+    else:
+        dec = ls_optimize(state, tol=tol)
+        s_val, bound = dec.lambda_, dec.upper_bound
+        family_data = {"upper_bound": bound, "gap": bound - s_val, "newton_steps": dec.newton_steps}
+    return DegreeResult(S=s_val, method=method, decomposition=dec, family_data=family_data)

@@ -20,6 +20,10 @@ from .state import TwoQubitState, entanglement_dyadic, to_density_matrix
 
 # largest gap allowed between the quartic spectrum and the direct eigensolve
 _CROSS_CHECK_TOL = 1e-6
+# relative gap allowed between det E from the invariants and det(C - s t^T)
+_DET_E_TOL = 1e-12
+# relative gap allowed in trace_modulus between the zeta cubic's coefficients two ways
+_CUBIC_CHECK_TOL = 1e-10
 
 __all__ = [
     "LocalInvariants",
@@ -118,7 +122,7 @@ def _det_entanglement(state, loc):
     """``det_entanglement`` from the state's already computed local invariants."""
     value = loc.a3_1 - loc.a4_2
     direct = float(np.linalg.det(entanglement_dyadic(state)))
-    tol = 1e-12 * max(1.0, abs(loc.a3_1) + abs(loc.a4_2))
+    tol = _DET_E_TOL * max(1.0, abs(loc.a3_1) + abs(loc.a4_2))
     if abs(value - direct) > tol:
         raise NumericalInconsistencyError(
             f"det E mismatch: invariant form {value!r} vs direct determinant "
@@ -155,7 +159,7 @@ def trace_modulus(c) -> float:
         ("product", e3, a3_1 * a3_1, norm * norm * norm),
     )
     for name, got, want, scale in checks:
-        if abs(got - want) > 1e-10 * scale:
+        if abs(got - want) > _CUBIC_CHECK_TOL * scale:
             raise NumericalInconsistencyError(
                 f"cubic coefficient self-check failed for zeta {name}: "
                 f"eigensolve gives {got!r}, invariants give {want!r}"
@@ -188,7 +192,11 @@ def spectrum(state: TwoQubitState) -> SpectrumResult:
     4x4 matrix runs alongside; the two spectra must agree to
     ``_CROSS_CHECK_TOL`` but neither result is adjusted toward the other.
     """
-    glob = global_invariants(local_invariants(state))
+    return _spectrum(state, global_invariants(local_invariants(state)))
+
+
+def _spectrum(state, glob):
+    """``spectrum`` from the state's already computed global invariants."""
     kappa = real_quartic_roots(0.0, -glob.A2, glob.A1, -glob.A0)
     eigenvalues = (1.0 - kappa) / 4.0
 

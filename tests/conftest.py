@@ -1,5 +1,7 @@
 """Shared helpers for the test suite."""
 
+import sys
+
 import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
@@ -10,6 +12,28 @@ from qpair import TwoQubitState, to_density_matrix
 def random_rotation(rng):
     """A Haar-ish random proper rotation (det +1)."""
     return Rotation.from_quat(rng.normal(size=4), scalar_first=False).as_matrix()
+
+
+def count_calls(monkeypatch, module, name):
+    """Count calls of ``module.name`` through every qpair module holding it.
+
+    Several modules import by name, so the counting wrapper replaces the
+    function wherever it is bound.  Returns the list that grows by one
+    entry per call.
+    """
+    original = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module_name, held in list(sys.modules.items()):
+        if module_name == "qpair" or module_name.startswith("qpair."):
+            for attr, value in list(vars(held).items()):
+                if value is original:
+                    monkeypatch.setattr(held, attr, counted)
+    return calls
 
 
 def scaled_invalid_state(state, rng):

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import qpair.invariants
 from qpair import (
     GenericPure,
     TwoQubitState,
@@ -34,6 +35,8 @@ from qpair import (
     trace_modulus,
 )
 from qpair.cli import main
+
+from conftest import count_calls
 
 # Pauli payload of the minus-sign state with c = (0.8, 0.5, 0.2), which no
 # constructor will emit: its minimum eigenvalue is -0.025.
@@ -155,6 +158,11 @@ def test_random_bell_classify_pipeline():
             ["--family", "werner_second", "--params", "0.9,0.4"],
             {"name": "werner_second", "x": 0.9, "p": 0.4},
         ),
+        (["--family", "bell"], {"name": "bell"}),
+        (
+            ["--family", "rank_two", "--params", "1.1,0.7,0.3,0.25,0.4"],
+            {"name": "rank_two", "gamma1": 1.1, "gamma2": 0.7, "x1": 0.3, "x2": 0.25, "x3": 0.4},
+        ),
     ],
 )
 def test_classify_detects_family(args, expected):
@@ -183,6 +191,14 @@ def test_invariants_report_matches_the_library():
     assert np.allclose(kappa, 1.0 - 4.0 * lam, atol=1e-12)
     assert report["det_E"] == det_entanglement(state)
     assert report["trace_modulus"] == trace_modulus(state.C)
+
+
+def test_invariants_report_derives_the_local_invariants_once(monkeypatch):
+    emitted = _invoke(["random", "--seed", "3"])
+    calls = count_calls(monkeypatch, qpair.invariants, "local_invariants")
+    result = _invoke(["invariants", "-"], stdin=emitted.output)
+    assert result.exit_code == 0
+    assert len(calls) == 1
 
 
 def test_canonical_reports_pure_parameters():

@@ -8,6 +8,7 @@ comparison of the optimizer against the closed forms.
 """
 
 import importlib
+import json
 import math
 
 import numpy as np
@@ -23,6 +24,7 @@ from qpair import (
     RankTwo,
     TwoQubitState,
     Werner,
+    WernerFirst,
     WernerSecond,
     construct_family,
     degree,
@@ -38,6 +40,7 @@ from qpair import (
     pure_projector,
     random_state,
     rank2_separable_pures,
+    serialize_state,
     to_density_matrix,
 )
 
@@ -442,3 +445,81 @@ def test_degree_optimizer_agrees_with_werner_second_closed_form():
     res = degree(perturbed)
     assert res.method == "Optimizer"
     assert res.S == pytest.approx(0.43743851341688866, abs=5e-3)
+
+
+@pytest.mark.parametrize(
+    "state, passes",
+    [
+        (construct_family(RankTwo(Rank2Params(1.1, 0.7, 0.3, 0.25, 0.4))), 3),
+        (random_state(3), 3),
+        (construct_family(Werner(0.5)), 1),
+        (construct_family(WernerSecond(x=0.8, p=0.6)), 1),
+    ],
+)
+def test_degree_counts_the_rank_from_the_route_eigensolve(state, passes, monkeypatch):
+    # the dispatcher reads the rank off the eigh it already ran for the
+    # chaos-plus-pure test, so no purity_rank positivity pass precedes
+    # rank2_canonical or ls_optimize
+    import qpair.classify
+    from conftest import count_calls
+
+    calls = count_calls(monkeypatch, qpair.classify, "_positivity")
+    degree(state)
+    assert len(calls) == passes
+
+
+# classify's family name -> the degree() route of an entangled member
+_ROUTE_OF_FAMILY = {
+    "werner": "ClosedFormWernerFirst",
+    "bell": "ClosedFormWernerFirst",
+    "werner_first": "ClosedFormWernerFirst",
+    "werner_second": "ClosedFormWernerSecond",
+    "generic_pure": "ClosedFormWernerSecond",
+    "rank_two": "ClosedFormRank2",
+    None: "Optimizer",
+}
+
+
+def _classified_family(state):
+    from click.testing import CliRunner
+    from qpair.cli import main
+
+    result = CliRunner().invoke(main, ["classify", "-"], input=serialize_state(state))
+    assert result.exit_code == 0
+    family = json.loads(result.output)["report"]["family"]
+    return None if family is None else family["name"]
+
+
+@pytest.mark.parametrize(
+    "family, state",
+    [
+        ("werner", construct_family(Werner(0.8))),
+        ("bell", construct_family(Bell())),
+        ("werner_first", construct_family(WernerFirst(-1, 0.9, 0.6, 0.5))),
+        ("werner_second", construct_family(WernerSecond(x=0.9, p=0.4))),
+        ("generic_pure", construct_family(GenericPure(0.6))),
+        ("rank_two", construct_family(RankTwo(Rank2Params(1.1, 0.7, 0.3, 0.25, 0.4)))),
+        (None, random_state(3)),
+        (None, random_state(1, target_rank=3)),
+    ],
+)
+def test_family_route_and_degree_invariant_under_local_rotations(family, state):
+    from qpair import apply_local
+    from conftest import random_rotation
+
+    assert _classified_family(state) == family
+    base = degree(state)
+    assert base.method == _ROUTE_OF_FAMILY[family]
+    rng = np.random.default_rng(20261018)
+    for _ in range(3):
+        rotated = apply_local(state, random_rotation(rng), random_rotation(rng))
+        assert _classified_family(rotated) == family
+        res = degree(rotated)
+        assert res.method == base.method
+        assert res.S == pytest.approx(base.S, abs=1e-9)
+
+
+def test_separable_member_keeps_its_family_but_takes_the_shortcut():
+    state = construct_family(Werner(0.2))
+    assert _classified_family(state) == "werner"
+    assert degree(state).method == "SeparableShortcut"
