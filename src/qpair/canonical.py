@@ -30,12 +30,8 @@ __all__ = [
     "rank2_canonical",
 ]
 
-# exact z-rotations used to quotient the rank-2 frame symmetries:
-# (pi, pi) flips the signs of (x1, x2); (pi/2, -pi/2) swaps the angle
-# roles, mapping (g1, g2, x1, x2) -> (g2, g1, -x2, x1)
+# the exact z-rotation pair (pi, pi) flips the signs of (x1, x2) of a rank-2 frame
 _RZ_PI = np.diag([-1.0, -1.0, 1.0])
-_RZ_P90 = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-_RZ_M90 = _RZ_P90.T
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,9 +208,9 @@ def rank2_canonical(
 
     Returns the ``Rank2Params``, or ``(params, o_ee, o_nn)`` with
     ``return_frame=True``, where applying (o_ee, o_nn) to the input
-    reproduces the family state.  Output is normalized to
-    g1 >= g2 and x1 > 0 (x2 >= 0 when x1 vanishes), quotienting the
-    frame symmetries.
+    reproduces the family state.  The analytic frame's in-plane SVD already
+    orders g1 >= g2, and an unordered result raises; the (pi, pi) pair then
+    makes x1 > 0 (x2 >= 0 when x1 vanishes).
     """
     if purity_rank(state, tol).rank != 2:
         raise PreconditionError("rank2_canonical requires a rank-2 state")
@@ -260,10 +256,11 @@ def rank2_canonical(
 
     oe, on = frame_of(res.x)
     params, diff = mismatch(oe, on)
-    # quotient the discrete frame symmetries (exact integer rotations)
     if params[1] > params[0] + 1e-9:
-        oe, on = _RZ_P90 @ oe, on @ _RZ_M90
-        params, diff = mismatch(oe, on)
+        # the clamp below would relabel such a state silently
+        raise NumericalInconsistencyError(
+            f"recovered gamma2 = {params[1]:.12g} above gamma1 = {params[0]:.12g}"
+        )
     if params[2] < -1e-12 or (abs(params[2]) <= 1e-12 and params[3] < -1e-12):
         oe, on = _RZ_PI @ oe, on @ _RZ_PI
         params, diff = mismatch(oe, on)

@@ -14,7 +14,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import NumericalInconsistencyError, PreconditionError
+from .errors import NumericalInconsistencyError, ValidityError
 from .invariants import (
     GlobalInvariants,
     _det_entanglement,
@@ -117,11 +117,12 @@ def is_state(state: TwoQubitState, tol: float = DEFAULT_TOL) -> Verdict:
 
 
 def _require_state(state, tol, who):
-    """Raise unless valid at ``tol``; else return the check's (loc, glob, eigs)."""
+    """The one validity decision: raise ``ValidityError`` or return (loc, glob, eigs)."""
     verdict, *derived = _positivity(state, tol)
     if not verdict.decision:
-        raise PreconditionError(
-            f"{who} requires a valid state; positivity margins {dict(verdict.margins)}"
+        raise ValidityError(
+            f"{who} requires a valid state; positivity margins {dict(verdict.margins)}",
+            min_eigenvalue=verdict.margins["min_eigenvalue"],
         )
     return derived
 

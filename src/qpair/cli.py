@@ -104,17 +104,6 @@ def _load(input_pos, input_opt):
     return parse_state(data)
 
 
-def _require_valid(state, tol):
-    verdict = is_state(state, tol)
-    if not verdict.decision:
-        raise ValidityError(
-            "the input parameters do not describe a state "
-            f"(minimum eigenvalue {verdict.margins['min_eigenvalue']:.6g})",
-            min_eigenvalue=verdict.margins["min_eigenvalue"],
-        )
-    return verdict
-
-
 def _margins(mapping):
     return {k: float(v) for k, v in mapping.items()}
 
@@ -134,7 +123,7 @@ def _decomposition_payload(dec):
 
 
 def _family_payload(state, tol, rank):
-    method, data = _route(state, tol)
+    method, data, _ = _route(state, tol)
     if method == "ClosedFormWernerFirst":
         if float(np.max(np.abs(state.C))) <= tol:
             return {"name": "chaotic"}
@@ -220,12 +209,11 @@ def invariants(input_pos, input_opt, output, tol, pretty):
 def classify(input_pos, input_opt, output, tol, pretty):
     """Entanglement, separability, rank, and family detection."""
     state = _load(input_pos, input_opt)
-    validity = _require_valid(state, tol)
-    separable = is_separable(state, tol)
+    separable = is_separable(state, tol)  # raises ValidityError on an invalid state
     rank = purity_rank(state, tol)
     report = {
         "valid": True,
-        "validity_margins": _margins(validity.margins),
+        "validity_margins": _margins(is_state(state, tol).margins),
         "entangled": bool(is_entangled(state, tol)),
         "separable": bool(separable.decision),
         "separability_margins": _margins(separable.margins),
@@ -241,7 +229,6 @@ def classify(input_pos, input_opt, output, tol, pretty):
 def canonical(input_pos, input_opt, output, tol, pretty):
     """Canonical form; generic-form parameters for pure and rank-2 states."""
     state = _load(input_pos, input_opt)
-    _require_valid(state, tol)
     form = diagonalize_cross(state)
     report = {
         "O_ee": [[float(x) for x in row] for row in form.o_ee],
@@ -274,7 +261,6 @@ def _inert_search_options(fn):
 def degree_cmd(input_pos, input_opt, output, tol, pretty, restarts, seed):
     """Degree of separability with the route that produced it."""
     state = _load(input_pos, input_opt)
-    _require_valid(state, tol)
     result = degree(state, tol=tol)
     report = {
         "S": float(result.S),
@@ -300,7 +286,6 @@ def degree_cmd(input_pos, input_opt, output, tol, pretty, restarts, seed):
 def decompose(input_pos, input_opt, output, tol, pretty, restarts, seed):
     """Best separable-plus-pure split: exact at rank 2, a barrier SDP at ranks 3-4."""
     state = _load(input_pos, input_opt)
-    _require_valid(state, tol)
     dec = ls_optimize(state, tol=tol)
     _finish(
         "decompose", state, {"tol": tol, "restarts": restarts, "seed": seed},

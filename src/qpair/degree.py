@@ -29,7 +29,7 @@ from scipy.optimize import minimize  # noqa: F401
 
 from . import _kernels
 from .canonical import rank2_canonical
-from .classify import DEFAULT_TOL, is_separable, is_state
+from .classify import DEFAULT_TOL, _require_state, is_separable
 from .errors import ConvergenceError, NumericalInconsistencyError, PreconditionError
 from .families import Chaotic, Rank2Params, RankTwo, construct_family
 from .invariants import local_invariants, trace_modulus
@@ -86,6 +86,8 @@ _NEWTON_STEPS = 100
 _MIN_STEP = 1e-12
 # allowed excess of the split weight over the dual bound (rounding only)
 _BRACKET_SLACK = 1e-9
+# allowed rank-2 closed form vs exact split gap (the split errs by 1e-7 at gamma1 = gamma2)
+_RANK2_CROSS_SLACK = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,8 +168,7 @@ def degree_werner_first(state: TwoQubitState, tol: float = DEFAULT_TOL) -> float
     """
     if not _pauli_vectors_vanish(state, tol):
         raise PreconditionError("degree_werner_first requires s = t = 0")
-    if not is_state(state, tol).decision:
-        raise PreconditionError("degree_werner_first requires a valid state")
+    _require_state(state, tol, "degree_werner_first")
     return _werner_first(state)[0]
 
 
@@ -267,12 +268,14 @@ def degree_rank2(params: Rank2Params, tol: float = DEFAULT_TOL) -> Rank2Degree:
     """
     if not isinstance(params, Rank2Params):
         raise TypeError(f"expected Rank2Params, got {type(params).__name__}")
-    s1 = math.sin(params.gamma1)
-    c2 = math.cos(params.gamma2)
-    if s1 * c2 <= _EXACT_SLACK:
-        return Rank2Degree(S=1.0, pair_kind=None)
-    state = construct_family(RankTwo(params))
-    if is_separable(state, tol).decision:
+    return _rank2_closed_form(params, tol)
+
+
+def _rank2_closed_form(params, tol):
+    """``degree_rank2``, minus the separability test when ``tol`` is None."""
+    if math.sin(params.gamma1) * math.cos(params.gamma2) <= _EXACT_SLACK or (
+        tol is not None and is_separable(construct_family(RankTwo(params)), tol).decision
+    ):
         return Rank2Degree(S=1.0, pair_kind=None)
 
     theta = _rank2_theta(params)
@@ -594,12 +597,14 @@ def ls_optimize(state: TwoQubitState, tol: float = DEFAULT_TOL) -> LSDecompositi
     that is positive only up to ``tol`` still gets a split reproducing it,
     with margins as negative as those eigenvalues.
     """
-    if not is_state(state, tol).decision:
-        raise PreconditionError("ls_optimize requires a valid state")
     rho = to_density_matrix(state)
     if is_separable(state, tol).decision:
         return _separable_split(state, rho)
-    eigs, vecs = np.linalg.eigh(rho)
+    return _entangled_split(rho, *np.linalg.eigh(rho), tol)
+
+
+def _entangled_split(rho, eigs, vecs, tol):
+    """``ls_optimize``'s split of an entangled state from its ``eigh``."""
     rank = int(np.sum(eigs > tol))
     if rank == 1:
         # entangled pure state: nothing separable remains
@@ -641,26 +646,27 @@ def _detect_werner_second(rho, eigs, vecs):
 
 
 def _route(state: TwoQubitState, tol: float):
-    """(route, data) of a valid state: the family test order of every caller.
+    """(route, data, spectral) of a valid state: the family test order of every caller.
 
     ``degree`` and CLI ``classify`` both decide here.  s = t = 0 gives
-    (ClosedFormWernerFirst, None), chaos plus a pure state
-    (ClosedFormWernerSecond, (x, p)), rank 2 (ClosedFormRank2, Rank2Params),
-    anything else (Optimizer, None).  One ``eigh`` serves the last two tests.
-    Its eigenvalues differ from ``eigvalsh``'s by about 1e-15, so its rank can
-    disagree with ``purity_rank`` only for an eigenvalue that close to ``tol``,
-    and then ``rank2_canonical``'s precondition raises instead of answering.
+    (ClosedFormWernerFirst, None), chaos plus a pure state (ClosedFormWernerSecond,
+    (x, p)), rank 2 (ClosedFormRank2, Rank2Params), anything else (Optimizer,
+    None).  One ``eigh`` serves the last two tests and is handed on as
+    ``spectral`` = (rho, eigs, vecs), None for s = t = 0.  Its eigenvalues differ
+    from ``eigvalsh``'s by about 1e-15, so its rank can disagree with
+    ``purity_rank`` only for an eigenvalue that close to ``tol``, and then
+    ``rank2_canonical``'s precondition raises instead of answering.
     """
     if _pauli_vectors_vanish(state, tol):
-        return "ClosedFormWernerFirst", None
+        return "ClosedFormWernerFirst", None, None
     rho = to_density_matrix(state)
-    eigs, vecs = np.linalg.eigh(rho)
-    detected = _detect_werner_second(rho, eigs, vecs)
+    spectral = rho, *np.linalg.eigh(rho)
+    detected = _detect_werner_second(*spectral)
     if detected is not None:
-        return "ClosedFormWernerSecond", detected
-    if int(np.sum(eigs > tol)) == 2:
-        return "ClosedFormRank2", rank2_canonical(state, tol)
-    return "Optimizer", None
+        return "ClosedFormWernerSecond", detected, spectral
+    if int(np.sum(spectral[1] > tol)) == 2:
+        return "ClosedFormRank2", rank2_canonical(state, tol), spectral
+    return "Optimizer", None, spectral
 
 
 def degree(state: TwoQubitState, tol: float = DEFAULT_TOL) -> DegreeResult:
@@ -670,13 +676,14 @@ def degree(state: TwoQubitState, tol: float = DEFAULT_TOL) -> DegreeResult:
     chaos-plus-pure (covers entangled pure states at x = 1) and rank-2
     closed forms, and finally ``ls_optimize``'s barrier SDP, whose S is a
     certified lower bound reported with its dual upper bound, the gap
-    between them and the Newton step count.
+    between them and the Newton step count.  A rank-2 closed form that
+    disagrees with the exact split of the same spectrum raises.
     """
     if is_separable(state, tol).decision:
         dec = _separable_split(state, to_density_matrix(state))
         return DegreeResult(S=1.0, method="SeparableShortcut", decomposition=dec)
     # validity is settled: is_separable above raises on an invalid state
-    method, data = _route(state, tol)
+    method, data, spectral = _route(state, tol)
     dec = None
     if method == "ClosedFormWernerFirst":
         s_val, det_c, tm = _werner_first(state)
@@ -685,10 +692,15 @@ def degree(state: TwoQubitState, tol: float = DEFAULT_TOL) -> DegreeResult:
         rec = degree_werner_second(*data)
         s_val, family_data = rec.S, {"x": data[0], "p": data[1], "q0": rec.q0, "p0": rec.p0}
     elif method == "ClosedFormRank2":
-        rec = degree_rank2(data, tol)
+        rec = _rank2_closed_form(data, None)
+        split = _rank2_split(*spectral).lambda_
+        if abs(rec.S - split) > _RANK2_CROSS_SLACK:
+            raise NumericalInconsistencyError(
+                f"rank-2 closed form S = {rec.S:.12g} but the exact split gives {split:.12g}"
+            )
         s_val, family_data = rec.S, {"pair_kind": rec.pair_kind, **asdict(data)}
     else:
-        dec = ls_optimize(state, tol=tol)
+        dec = _entangled_split(*spectral, tol)
         s_val, bound = dec.lambda_, dec.upper_bound
         family_data = {"upper_bound": bound, "gap": bound - s_val, "newton_steps": dec.newton_steps}
     return DegreeResult(S=s_val, method=method, decomposition=dec, family_data=family_data)

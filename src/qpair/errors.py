@@ -14,19 +14,20 @@ class RepresentationError(QpairError):
     """
 
 
-class ValidityError(QpairError):
+class PreconditionError(QpairError):
+    """An operation was called on input outside its stated domain."""
+
+
+class ValidityError(PreconditionError):
     """A parameter set fails positivity where a valid state is required.
 
-    Carries the most negative eigenvalue in ``min_eigenvalue``.
+    Raised by every routine that needs a state and by failing family
+    constructors.  Carries the most negative eigenvalue in ``min_eigenvalue``.
     """
 
     def __init__(self, message, min_eigenvalue=None):
         super().__init__(message)
         self.min_eigenvalue = min_eigenvalue
-
-
-class PreconditionError(QpairError):
-    """An operation was called on input outside its stated domain."""
 
 
 class NumericalInconsistencyError(QpairError):

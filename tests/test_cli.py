@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import qpair.classify
 import qpair.invariants
 from qpair import (
     GenericPure,
@@ -121,6 +122,26 @@ def test_check_invalid_state_exits_two_with_margins():
     assert margins["quartic_value"] == pytest.approx(-0.1375, abs=1e-12)
 
 
+# s = t = 0 with C = diag(0.8, 0.5, 0.2): minimum eigenvalue (1 - 1.5)/4
+_INVALID_PLUS_DOC = json.dumps(
+    {
+        "format": "qpair-state/1",
+        "s": [0.0, 0.0, 0.0],
+        "t": [0.0, 0.0, 0.0],
+        "C": [[0.8, 0.0, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 0.2]],
+    }
+)
+
+
+@pytest.mark.parametrize("command", ["classify", "canonical", "degree", "decompose"])
+def test_commands_needing_a_state_exit_two_on_an_invalid_one(command):
+    result = _invoke([command, "-"], stdin=_INVALID_PLUS_DOC)
+    assert result.exit_code == 2
+    error = _error(result)
+    assert error["type"] == "ValidityError"
+    assert error["min_eigenvalue"] == pytest.approx(-0.125, abs=1e-12)
+
+
 def test_degree_werner_half_closed_form():
     result = _invoke(["degree", "-"], stdin=_statefile(construct_family(Werner(0.5))))
     assert result.exit_code == 0
@@ -199,6 +220,41 @@ def test_invariants_report_derives_the_local_invariants_once(monkeypatch):
     result = _invoke(["invariants", "-"], stdin=emitted.output)
     assert result.exit_code == 0
     assert len(calls) == 1
+
+
+_RANK2_ARGS = ["random", "--family", "rank_two", "--params", "1.1,0.7,0.3,0.25,0.4"]
+_RANK4_ARGS = ["random", "--seed", "3"]
+_WERNER_ARGS = ["random", "--family", "werner", "--params", "0.5"]
+
+
+@pytest.mark.parametrize(
+    "emit, command, passes",
+    [
+        (_RANK4_ARGS, "degree", 1),
+        (["random", "--seed", "1", "--rank", "3"], "degree", 1),
+        (_RANK2_ARGS, "degree", 2),
+        (_WERNER_ARGS, "degree", 1),
+        (_RANK4_ARGS, "decompose", 1),
+        (_RANK2_ARGS, "decompose", 1),
+        (_WERNER_ARGS, "decompose", 1),
+        (_RANK2_ARGS, "canonical", 2),
+        (["random", "--family", "generic_pure", "--params", "0.35"], "canonical", 2),
+        (_RANK4_ARGS, "canonical", 1),
+        # classify asks each public decider in turn: is_state, is_separable,
+        # purity_rank, is_entangled and, at rank 2, rank2_canonical
+        (_RANK2_ARGS, "classify", 5),
+        (_RANK4_ARGS, "classify", 4),
+    ],
+)
+def test_commands_decide_validity_in_the_library_only(emit, command, passes, monkeypatch):
+    # the positivity passes left are the library's own preconditions: the
+    # separability decision, plus purity_rank ahead of the rank-2 and pure
+    # canonical forms; the CLI adds none of its own
+    emitted = _invoke(emit)
+    calls = count_calls(monkeypatch, qpair.classify, "_positivity")
+    result = _invoke([command, "-"], stdin=emitted.output)
+    assert result.exit_code == 0
+    assert len(calls) == passes
 
 
 def test_canonical_reports_pure_parameters():

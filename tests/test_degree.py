@@ -450,22 +450,98 @@ def test_degree_optimizer_agrees_with_werner_second_closed_form():
 @pytest.mark.parametrize(
     "state, passes",
     [
-        (construct_family(RankTwo(Rank2Params(1.1, 0.7, 0.3, 0.25, 0.4))), 3),
-        (random_state(3), 3),
+        (construct_family(RankTwo(Rank2Params(1.1, 0.7, 0.3, 0.25, 0.4))), 2),
+        (random_state(3), 1),
         (construct_family(Werner(0.5)), 1),
         (construct_family(WernerSecond(x=0.8, p=0.6)), 1),
     ],
 )
 def test_degree_counts_the_rank_from_the_route_eigensolve(state, passes, monkeypatch):
     # the dispatcher reads the rank off the eigh it already ran for the
-    # chaos-plus-pure test, so no purity_rank positivity pass precedes
-    # rank2_canonical or ls_optimize
+    # chaos-plus-pure test and hands that eigh on, so only the separability
+    # decision (and rank2_canonical's precondition at rank 2) checks validity
     import qpair.classify
     from conftest import count_calls
 
     calls = count_calls(monkeypatch, qpair.classify, "_positivity")
     degree(state)
     assert len(calls) == passes
+
+
+@pytest.mark.parametrize(
+    "state",
+    [
+        construct_family(Werner(0.2)),
+        construct_family(GenericPure(0.3)),
+        construct_family(RankTwo(Rank2Params(1.1, 0.7, 0.3, 0.25, 0.4))),
+        random_state(1, target_rank=3),
+        random_state(3),
+    ],
+    ids=["separable", "pure", "rank2", "rank3", "rank4"],
+)
+def test_ls_optimize_decides_validity_once(state, monkeypatch):
+    import qpair.classify
+    from conftest import count_calls
+
+    calls = count_calls(monkeypatch, qpair.classify, "_positivity")
+    ls_optimize(state)
+    assert len(calls) == 1
+
+
+def test_ls_optimize_with_a_single_product_state_in_the_support(monkeypatch):
+    # 0.7 |01><01| + 0.3 |Phi+><Phi+|: the top eigenvector |01> is the only
+    # product state of the support, so both the leading and the middle
+    # coefficient of the product-state quadratic vanish, and S = 0.7
+    from qpair import apply_local
+    from conftest import random_rotation
+
+    module = importlib.import_module("qpair.degree")
+    original = module._support_product_states
+    found = []
+    monkeypatch.setattr(
+        module, "_support_product_states", lambda u: found.append(original(u)) or found[-1]
+    )
+    phi = np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0)
+    rho = 0.7 * pure_projector(np.array([0.0, 1.0, 0.0, 0.0])) + 0.3 * pure_projector(phi)
+    rng = np.random.default_rng(5)
+    state = apply_local(from_density_matrix(rho), random_rotation(rng), random_rotation(rng))
+    dec = ls_optimize(state)
+    assert [len(vectors) for vectors in found] == [1]
+    assert dec.lambda_ == pytest.approx(0.7, abs=1e-12)
+    _check_decomposition(state, dec, atol=1e-12)
+
+
+def _equal_angle_states(rng):
+    # rank-2 states with gamma1 = gamma2, x1 within 1e-8 of 0 and x2 = 0: the
+    # recovered angles differ by rounding, so theta is about 1e-8 instead of
+    # 0, and pair kind "a" divides two quantities of order theta^2
+    from qpair import apply_local
+    from conftest import random_rotation
+
+    phi = np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0)
+    product = pure_projector(np.array([0.0, 1.0, 0.0, 0.0]))
+    bases = [from_density_matrix(0.55 * product + 0.45 * pure_projector(phi))]
+    for gamma in (0.4, math.pi / 4, 1.2):
+        for _ in range(20):
+            x1 = float(rng.uniform(-1e-8, 1e-8))
+            bases.append(construct_family(RankTwo(Rank2Params(gamma, gamma, x1, 0.0, 0.3))))
+    return [apply_local(b, random_rotation(rng), random_rotation(rng)) for b in bases]
+
+
+def test_degree_rank2_at_equal_angles_is_right_or_raises():
+    # the closed form is cross-checked against the exact split of the same
+    # spectrum, so a cancelled pair kind "a" raises instead of reporting a
+    # wrong S (off by up to 0.35 without the check)
+    answered = 0
+    for state in _equal_angle_states(np.random.default_rng(7)):
+        try:
+            res = degree(state)
+        except NumericalInconsistencyError:
+            continue
+        answered += 1
+        assert res.method == "ClosedFormRank2"
+        assert res.S == pytest.approx(ls_optimize(state).lambda_, abs=1e-9)
+    assert answered > 0
 
 
 # classify's family name -> the degree() route of an entangled member
