@@ -13,9 +13,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.spatial.transform import Rotation
 
+from ._scipy import minimize
 from .classify import DEFAULT_TOL, purity_rank
 from .errors import ConvergenceError, NumericalInconsistencyError, PreconditionError
 from .families import Rank2Params, check_rotation, rank2_family_params
@@ -32,6 +31,22 @@ __all__ = [
 
 # the exact z-rotation pair (pi, pi) flips the signs of (x1, x2) of a rank-2 frame
 _RZ_PI = np.diag([-1.0, -1.0, 1.0])
+
+# a unit-scale quantity this small is zero up to rounding: the axis of a
+# vector already along +-z, and a sign-fixing x1 or x2 of a rank-2 frame
+_ZERO = 1e-12
+# a projector Pauli vector u or v shorter than this has no direction, and
+# the rank-2 first guess aligns a singular vector of M instead
+_AXIS_MIN = 1e-8
+# rounding by which a recovered gamma2 may exceed gamma1 before it raises
+_ORDER_SLACK = 1e-9
+# largest rank-2 frame residual, and largest gap between the recovered x^2
+# and (A2 - 2)/4, that rank2_canonical accepts
+_CHECK_TOL = 1e-6
+# Nelder-Mead stopping tolerances of the rank-2 frame polish, on the six
+# rotation-vector coordinates and on the squared residual
+_POLISH_XATOL = 1e-13
+_POLISH_FATOL = 1e-22
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,11 +169,13 @@ def _rank2_extract(pu, pv, pm, s, t, c):
 
 
 def _rotation_to_z(w):
+    from scipy.spatial.transform import Rotation
+
     w = np.asarray(w, dtype=np.float64)
     w = w / np.linalg.norm(w)
     axis = np.cross(w, np.array([0.0, 0.0, 1.0]))
     norm_axis = float(np.linalg.norm(axis))
-    if norm_axis < 1e-12:
+    if norm_axis < _ZERO:
         if w[2] > 0:
             return np.eye(3)
         return np.diag([1.0, -1.0, -1.0])
@@ -175,11 +192,11 @@ def _embed_z(r2):
 def _initial_frame(pu, pv, pm):
     """Analytic first guess: align u and v with +z, then diagonalize the
     in-plane block of M by a 2x2 SVD embedded as z-rotations."""
-    if np.linalg.norm(pu) > 1e-8:
+    if np.linalg.norm(pu) > _AXIS_MIN:
         we = pu
     else:
         we = np.linalg.eigh(pm @ pm.T)[1][:, 0]
-    if np.linalg.norm(pv) > 1e-8:
+    if np.linalg.norm(pv) > _AXIS_MIN:
         wn = pv
     else:
         wn = np.linalg.eigh(pm.T @ pm)[1][:, 0]
@@ -214,6 +231,8 @@ def rank2_canonical(
     """
     if purity_rank(state, tol).rank != 2:
         raise PreconditionError("rank2_canonical requires a rank-2 state")
+    from scipy.spatial.transform import Rotation
+
     s0, t0, c0 = state.s, state.t, state.C
     eigs, vecs = np.linalg.eigh(to_density_matrix(state))
     support = vecs[:, 2:] @ vecs[:, 2:].conj().T
@@ -251,24 +270,29 @@ def rank2_canonical(
         objective,
         theta0,
         method="Nelder-Mead",
-        options={"maxiter": 2000, "maxfev": 3000, "xatol": 1e-13, "fatol": 1e-22},
+        options={
+            "maxiter": 2000,
+            "maxfev": 3000,
+            "xatol": _POLISH_XATOL,
+            "fatol": _POLISH_FATOL,
+        },
     )
 
     oe, on = frame_of(res.x)
     params, diff = mismatch(oe, on)
-    if params[1] > params[0] + 1e-9:
+    if params[1] > params[0] + _ORDER_SLACK:
         # the clamp below would relabel such a state silently
         raise NumericalInconsistencyError(
             f"recovered gamma2 = {params[1]:.12g} above gamma1 = {params[0]:.12g}"
         )
-    if params[2] < -1e-12 or (abs(params[2]) <= 1e-12 and params[3] < -1e-12):
+    if params[2] < -_ZERO or (abs(params[2]) <= _ZERO and params[3] < -_ZERO):
         oe, on = _RZ_PI @ oe, on @ _RZ_PI
         params, diff = mismatch(oe, on)
 
     residual = float(np.max(np.abs(diff)))
-    if residual > 1e-6:
+    if residual > _CHECK_TOL:
         raise ConvergenceError(
-            f"rank-2 canonicalization residual {residual:.3e} above 1e-6",
+            f"rank-2 canonicalization residual {residual:.3e} above {_CHECK_TOL:g}",
             residual=residual,
         )
 
@@ -279,7 +303,7 @@ def rank2_canonical(
 
     glob = global_invariants(local_invariants(state))
     x_sq_expected = (glob.A2 - 2.0) / 4.0
-    if abs(result.x_sq - x_sq_expected) > 1e-6:
+    if abs(result.x_sq - x_sq_expected) > _CHECK_TOL:
         raise NumericalInconsistencyError(
             f"recovered x^2 = {result.x_sq:.12g} but the invariants give "
             f"(A2 - 2)/4 = {x_sq_expected:.12g}"

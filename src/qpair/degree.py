@@ -23,11 +23,11 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-# Only perfbench/tracing.py still uses this name: it rebinds it to count
-# solver calls.  Nothing in the package calls it.
-from scipy.optimize import minimize  # noqa: F401
-
 from . import _kernels
+# Nothing in the package calls minimize: the name stays only because
+# perfbench/tracing.py rebinds it to count solver calls, until the benchmark
+# stops reading it.  It is the deferred proxy, so importing degree loads no scipy.
+from ._scipy import minimize  # noqa: F401
 from .canonical import rank2_canonical
 from .classify import DEFAULT_TOL, _require_state, is_separable
 from .errors import ConvergenceError, NumericalInconsistencyError, PreconditionError
@@ -506,7 +506,15 @@ def _barrier_split(rho, eigs, vecs, rank, tol):
 
     y = 0.5 * float(d[0]) * (null.T @ np.einsum("kaa->k", herm).real)
     s_mat = offset + np.einsum("j,jab->ab", y, blocks)
-    logdet, inv = _pd_inverse(s_mat)
+    factored = _pd_inverse(s_mat)
+    if factored is None:
+        # strictly feasible in exact arithmetic, but rounding can break that,
+        # e.g. on rank-3 states whose kernel vector is nearly a product
+        raise ConvergenceError(
+            f"barrier start point X = (min D / 2) 1 = {0.5 * float(d[0]):.3e} 1 "
+            "is not numerically strictly feasible"
+        )
+    logdet, inv = factored
     t = 1.0
     best_lower, best_upper, best = 0.0, math.inf, None
     history = []

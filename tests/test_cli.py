@@ -9,6 +9,7 @@ only the entry point does.  No install is needed.
 
 import dataclasses
 import json
+import os
 import re
 import subprocess
 import sys
@@ -541,3 +542,37 @@ def test_stdin_is_the_default_input():
     implicit = _invoke(["check"], stdin=statefile)
     assert implicit.exit_code == 0
     assert implicit.output == explicit.output
+
+
+_IMPORT_PROBE = """
+import json, sys
+from click.testing import CliRunner
+from qpair.cli import main
+
+def call(args, stdin=None):
+    result = CliRunner().invoke(main, args, input=stdin)
+    assert result.exit_code == 0, result.output
+    return result.output
+
+werner = call(["random", "--family", "werner", "--params", "0.7"])
+for command in ("check", "classify", "degree"):
+    call([command, "-"], werner)
+call(["degree", "-"], call(["random", "--seed", "3", "--rank", "4"]))
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+rank2 = call(["random", "--family", "rank_two", "--params", "1.1,0.7,0.3,0.25,0.4"])
+print(call(["canonical", "-"], rank2), end="")
+"""
+
+
+def test_scipy_loads_only_for_the_rank2_frame():
+    # a fresh interpreter, so no module imported by the suite is preloaded
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    result = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE], capture_output=True, text=True, env=env
+    )
+    assert result.returncode == 0, result.stderr
+    loaded, report = result.stdout.split("\n", 1)
+    assert json.loads(loaded) == []
+    assert json.loads(report)["report"]["rank2"]["gamma1"] == pytest.approx(1.1, abs=1e-9)

@@ -20,6 +20,7 @@ from qpair import (
     GenericPure,
     NumericalInconsistencyError,
     PreconditionError,
+    QpairError,
     Rank2Params,
     RankTwo,
     TwoQubitState,
@@ -359,6 +360,30 @@ def test_ls_optimize_rank3_is_certified_without_search(state, monkeypatch):
             - to_density_matrix(state)
         )
     ) <= 1e-12
+
+
+def _near_product_kernel_state(seed, eps=1e-9):
+    """A random rank-3 state whose kernel vector (1, 0, 0, eps) is nearly a product."""
+    rng = np.random.default_rng(seed)
+    kernel = np.array([1.0, 0.0, 0.0, eps], dtype=np.complex128)
+    kernel /= np.linalg.norm(kernel)
+    g = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))
+    g -= np.outer(kernel, kernel.conj() @ g)
+    support = np.linalg.qr(g)[0]
+    weights = rng.dirichlet(np.ones(3))
+    return from_density_matrix((support * weights) @ support.conj().T)
+
+
+@pytest.mark.parametrize("seed", [2, 7, 8])
+def test_degree_near_product_kernel_answers_or_raises_a_qpair_error(seed):
+    # the barrier's start point can fail to be numerically strictly feasible
+    # here; that must surface as a qpair error, not a bare TypeError
+    state = _near_product_kernel_state(seed)
+    try:
+        res = degree(state)
+    except QpairError:
+        return
+    assert 0.0 <= res.S <= 1.0
 
 
 def test_ls_optimize_requires_validity():
