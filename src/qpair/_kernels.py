@@ -1,6 +1,6 @@
 """Small numeric kernels.
 
-``reflect4`` gives ``degree``'s split margins and its barrier's partial
+``reflect4`` gives ``degree``'s split margins and its SDP's partial
 reflection, on one matrix or a stack.  ``_golden_max`` and ``_bisect`` serve
 ``degree.degree_werner_second`` and the harness-only weight solve below:
 only perfbench's kernel micro-workload, which pins their values, calls

@@ -284,7 +284,7 @@ def degree_cmd(input_pos, input_opt, output, tol, pretty, restarts, seed):
 @_inert_search_options
 @_guarded
 def decompose(input_pos, input_opt, output, tol, pretty, restarts, seed):
-    """Best separable-plus-pure split: exact at rank 2, a barrier SDP at ranks 3-4."""
+    """Best separable-plus-pure split: exact at rank 2, an interior-point SDP at ranks 3-4."""
     state = _load(input_pos, input_opt)
     dec = ls_optimize(state, tol=tol)
     _finish(

@@ -4,15 +4,16 @@ The degree S of a state is the largest weight lambda such that the state
 splits as lambda * (separable) + (1 - lambda) * (pure).  Four families have
 closed forms.  ``ls_optimize`` computes the split itself: separable and pure
 inputs are immediate, an entangled rank-2 state has a closed-form split over
-the product states of its support, and ranks 3 and 4 go to a log-barrier
-semidefinite program restricted to the support, since for two qubits PPT
-is separable and the best split leaves a pure remainder:
-S = max tr sigma over sigma >= 0, sigma^Gamma >= 0, rho - sigma >= 0.
-The barrier's feasible split certifies a lower bound on S and its dual an
-upper bound.  Rank-2 and barrier splits divide the separable part
-rho - w |psi><psi| by its own trace.  The closed forms and ``ls_optimize``
-cross-check each other.  Only ``degree_werner_second`` still searches,
-with ``_kernels._golden_max`` and ``_kernels._bisect``.
+the product states of its support, and ranks 3 and 4 go to a primal-dual
+interior-point solve of a semidefinite program restricted to the support,
+since for two qubits PPT is separable and the best split leaves a pure
+remainder: S = max tr sigma over sigma >= 0, sigma^Gamma >= 0, rho - sigma >= 0.
+Its feasible split certifies a lower bound on S and its dual an upper
+bound.  Rank-2 and interior-point splits project the separable part
+rho - w |psi><psi| onto the support of rho and divide it by its own trace.
+The closed forms and ``ls_optimize`` cross-check each other.  Only
+``degree_werner_second`` still searches, with ``_kernels._golden_max`` and
+``_kernels._bisect``.
 """
 
 from __future__ import annotations
@@ -72,18 +73,17 @@ _FAMILY_EDGE = 1e-9
 _WERNER_SPREAD = 1e-9
 # resolution of the Werner-second q0 bisection
 _Q0_RESOLUTION = 1e-10
-# the rank-3/4 barrier stops once its certified bracket is this narrow,
+# the rank-3/4 interior-point solve stops once its certified bracket is this
+# narrow and at most this fraction of S (so a tiny S still gets a meaningful bracket)
 _GAP_TOL = 1e-8
-# or once its own duality gap (2r + 4)/t is this small
-_BARRIER_GAP = 1e-10
-# factor on the barrier weight t between stages
-_T_GROWTH = 8.0
-# a stage is centred once the squared Newton decrement is this small; the
-# dual estimate is corrected by the last Newton step, so it need not be tiny
-_NEWTON_TOL = 1e-4
-# Newton steps allowed per stage, and the smallest backtracking step
-_NEWTON_STEPS = 100
-_MIN_STEP = 1e-12
+_GAP_RATIO = 0.1
+# interior-point iterations allowed, and the fraction of the distance to the
+# cone boundary that each step takes
+_PD_ITERATIONS = 60
+_STEP_FRACTION = 0.98
+# smallest eigenvalue of the PPT block's value at X = 1 that its rescaling
+# undoes; below it (kernel vector within about 3e-2 of a product) the scale is capped
+_PPT_SCALE_FLOOR = 1e-3
 # allowed excess of the split weight over the dual bound (rounding only)
 _BRACKET_SLACK = 1e-9
 # allowed rank-2 closed form vs exact split gap (the split errs by 1e-7 at gamma1 = gamma2)
@@ -99,9 +99,10 @@ class LSDecomposition:
     separable input (lambda 1, nothing left over).  ``margins`` holds the
     positivity and reflected-positivity slack of the separable part.
     ``upper_bound`` is a certified upper bound on S (equal to lambda_ on
-    the exact routes).  ``objective_history`` records (barrier stage, best
-    lower bound so far), one entry on the exact routes, and
-    ``newton_steps`` counts the barrier's Newton steps.
+    the exact routes).  ``objective_history`` records (interior-point
+    iteration, best lower bound so far), one entry on the exact routes, and
+    ``newton_steps`` counts the iterations, each of which solves one
+    Newton system.
     """
 
     lambda_: float
@@ -122,7 +123,7 @@ class DegreeResult:
     exact; the Optimizer value is a certified lower bound on S.
     ``family_data`` carries route-specific numbers (q0, p0, pair kind,
     detected family parameters; for Optimizer the dual upper bound, the gap
-    and the Newton step count).
+    and the interior-point iteration count).
     """
 
     S: float
@@ -360,13 +361,18 @@ def _separable_split(state, rho):
     )
 
 
-def _pure_split(rho, w, psi):
+def _pure_split(rho, eigs, vecs, w, psi):
     """The split rho = (1 - w) sep + w |psi><psi| as an exact route reports it.
 
-    sep is rho - w |psi><psi|, Hermitized and divided by its own trace, not
-    by 1 - w, whose rounding relative to a tiny 1 - w breaks the unit trace.
+    sep is rho - w |psi><psi| projected onto the support of rho (its
+    eigenvectors with eigenvalues off the rounding floor), Hermitized and
+    divided by its own trace, not by 1 - w, whose rounding relative to a
+    tiny 1 - w breaks the unit trace.  The projection keeps rounding in
+    rho's kernel out of sep, where 1 / (1 - w) would amplify it.
     """
-    part = rho - w * np.outer(psi, psi.conj())
+    support = vecs[:, np.abs(eigs) > _kernels._FLOOR]
+    proj = support @ support.conj().T
+    part = proj @ (rho - w * np.outer(psi, psi.conj())) @ proj
     sep_rho = (part + part.conj().T) / (2.0 * np.trace(part).real)
     lam = 1.0 - w
     return LSDecomposition(
@@ -411,7 +417,7 @@ def _rank2_split(rho, eigs, vecs):
     lam, mu = max((weight(mu), mu) for mu in [0.0, 1.0, *roots] if 0.0 <= mu <= 1.0)
     sigma = mu * np.outer(q0, q0.conj()) + (1.0 - mu) * np.outer(q1, q1.conj())
     residual = np.diag(eigs[2:]) - lam * sigma
-    return _pure_split(rho, 1.0 - lam, u_support @ np.linalg.eigh(residual)[1][:, 1])
+    return _pure_split(rho, eigs, vecs, 1.0 - lam, u_support @ np.linalg.eigh(residual)[1][:, 1])
 
 
 def _hermitian_basis(r):
@@ -432,20 +438,42 @@ def _psd_part(m):
     return (u * np.maximum(e, 0.0)) @ u.conj().T
 
 
-def _pd_inverse(m):
-    """(log det m, m^-1) of a positive definite Hermitian m, else None.
+def _hkm_step(w_mat, z_mat, y, e, u, blocks, offset, traces):
+    """One HKM predictor-corrector step from (W, Z, y), with (e, u) the eigenpairs of W and Z.
 
-    The Newton iterations solve everything with the Hermitian eigensolver
-    the package already uses elsewhere: LU or Cholesky routines would add
-    their library code to the peak memory of every degree() caller.
+    Both solves of the Schur complement M_jl = Re tr(G_j W G_l Z^-1) are LU
+    solves: an explicit M^-1 loses primal feasibility near the optimum.
     """
-    e, u = np.linalg.eigh(m)
-    if e[0] <= 0.0:
-        return None
-    return float(np.sum(np.log(e))), (u / e) @ u.conj().T
+    size = len(w_mat)
+    gap = float(np.einsum("ab,ba->", w_mat, z_mat).real)
+    z_inv = (u[1] / e[1]) @ u[1].conj().T
+    # W^-1/2 and Z^-1/2, which turn a step's distance to the boundary into an eigenvalue
+    isqrt = (u / np.sqrt(e)[:, None, :]) @ u.conj().transpose(0, 2, 1)
+    rd = offset + np.einsum("j,jab->ab", y, blocks) - z_mat
+    schur = np.tensordot(blocks @ w_mat, blocks @ z_inv, axes=([1, 2], [2, 1])).real
+
+    def direction(sigma_mu, second_order):
+        # dZ = rd + sum_j dy_j G_j and dW = sigma mu Z^-1 - W - W dZ Z^-1 - second_order,
+        # with dy fixed by the primal equations tr(G_j (W + dW)) = -b_j
+        t = sigma_mu * z_inv - w_mat @ rd @ z_inv - second_order
+        dy = np.linalg.solve(schur, traces + np.einsum("jab,ba->j", blocks, t).real)
+        dz = rd + np.einsum("j,jab->ab", dy, blocks)
+        dw = t - w_mat - w_mat @ (dz - rd) @ z_inv
+        return dy, dz, 0.5 * (dw + dw.conj().T)
+
+    def lengths(dw, dz, fraction):
+        low = np.linalg.eigvalsh(isqrt @ np.stack([dw, dz]) @ isqrt)[:, 0]
+        return [1.0 if x >= 0.0 else min(1.0, -fraction / x) for x in low]
+
+    dy, dz, dw = direction(0.0, 0.0)
+    ap, ad = lengths(dw, dz, 1.0)
+    sigma = (float(np.einsum("ab,ba->", w_mat + ap * dw, z_mat + ad * dz).real) / gap) ** 3
+    dy, dz, dw = direction(sigma * gap / size, dw @ dz @ z_inv)
+    ap, ad = lengths(dw, dz, _STEP_FRACTION)
+    return w_mat + ap * dw, z_mat + ad * dz, y + ad * dy
 
 
-def _barrier_split(rho, eigs, vecs, rank, tol):
+def _interior_point_split(rho, eigs, vecs, rank, tol):
     """The certified best split of an entangled rank-3 or rank-4 state.
 
     S = max tr sigma over sigma >= 0, R(sigma) >= 0, rho - sigma >= 0
@@ -459,21 +487,30 @@ def _barrier_split(rho, eigs, vecs, rank, tol):
     feasible R(sigma) annihilates k' = a_perp (x) b.  Besides the support,
     that adds one complex equation, <a_perp b| sigma |a b_perp> = 0, which
     restricts X to a subspace, and the PPT block is taken on the
-    complement of k'.
+    complement of k'.  The PPT block is written in the frame K where its
+    value at X = 1 is the identity (capped at _PPT_SCALE_FLOOR, as that
+    value is singular for a product kernel vector), so Z = 1 means X = 1.
 
-    All blocks form one block-diagonal S(y) = blockdiag(X, D - X, P),
-    affine in the coordinates y, and damped Newton minimizes
-    -t tr X - log det S(y) for t growing by _T_GROWTH per stage from the
-    strictly feasible X = (min D / 2) 1.  Each stage yields
+    The blocks form Z = blockdiag(X, D - X, P) = C + sum_j y_j G_j, affine
+    in the coordinates y, with C = blockdiag(0, D, 0), and S = max b.y with
+    b_j = tr G_j's X block: the dual standard form with A_j = -G_j, whose
+    primal is min tr(C W) over W >= 0 with tr(A_j W) = b_j; tr(W Z) is the
+    duality gap.  An infeasible-start primal-dual interior-point method
+    (HKM direction, Mehrotra predictor-corrector, ``_hkm_step``) starts at
+    W = Z = 1, y = 0, so it needs no strictly feasible point.  Once
+    tr(W Z) <= _GAP_TOL every iterate yields
     - a lower bound: with (w, psi) the top eigenpair of rho - sigma,
       ``_pure_split`` gives lambda = 1 - w and a sep that reproduces rho;
       it counts only if its margins pass;
-    - an upper bound tr(D Z): the last Newton step gives the dual estimate
-      W = (S^-1 - S^-1 dS S^-1)/t, and Z = 1 + A + V^dagger R(B) V with
-      A, B the PSD parts of W's X and P blocks is dual feasible; on a
-      reduced face the equality multipliers are free, so Z's component
-      across the face is taken from W's D - X block.
-    Stops once the bracket is _GAP_TOL wide or (2r + 4)/t <= _BARRIER_GAP.
+    - an upper bound tr(D psd(Y)), Y = 1 + A + V^dagger R(B) V, with A and
+      B = K psd(W_P) K^dagger from the PSD parts of W's X and P blocks.
+      Any A, B >= 0 do: a feasible sigma = V X V^dagger has tr(X A) >= 0
+      and tr(X V^dagger R(B) V) = tr(R(sigma) B) >= 0, so tr X <= tr(X Y)
+      <= tr(X psd(Y)) <= tr(D psd(Y)) as X, D - X >= 0.  On a reduced face
+      only Y's face component meets X, so across it Y is W's D - X block.
+    Stops once the bracket is at most _GAP_TOL and _GAP_RATIO * S, or
+    scores one last iterate when W or Z stops being positive definite or
+    after _PD_ITERATIONS iterations.
     """
     r = rank
     v = vecs[:, 4 - r :]
@@ -493,6 +530,8 @@ def _barrier_split(rho, eigs, vecs, rank, tol):
             equation = np.einsum("a,kab,b->k", bra.conj(), herm, ket)
             null = np.linalg.svd(np.stack([equation.real, equation.imag]))[2][2:].T
             keep = np.linalg.svd(reflected_kernel[:, None])[0][:, 1:]
+    scale, frame = np.linalg.eigh(keep.conj().T @ _kernels.reflect4(v @ v.conj().T) @ keep)
+    keep = keep @ (frame / np.sqrt(np.maximum(scale, _PPT_SCALE_FLOOR))) @ frame.conj().T
     basis = np.einsum("kj,kab->jab", null, herm)
     q = keep.shape[1]
     size = 2 * r + q
@@ -504,80 +543,38 @@ def _barrier_split(rho, eigs, vecs, rank, tol):
     offset[r : 2 * r, r : 2 * r] = np.diag(d)
     traces = np.einsum("jaa->j", basis).real
 
-    y = 0.5 * float(d[0]) * (null.T @ np.einsum("kaa->k", herm).real)
-    s_mat = offset + np.einsum("j,jab->ab", y, blocks)
-    factored = _pd_inverse(s_mat)
-    if factored is None:
-        # strictly feasible in exact arithmetic, but rounding can break that,
-        # e.g. on rank-3 states whose kernel vector is nearly a product
-        raise ConvergenceError(
-            f"barrier start point X = (min D / 2) 1 = {0.5 * float(d[0]):.3e} 1 "
-            "is not numerically strictly feasible"
-        )
-    logdet, inv = factored
-    t = 1.0
+    w_mat, z_mat, y = np.eye(size), np.eye(size), np.zeros(len(basis))
     best_lower, best_upper, best = 0.0, math.inf, None
     history = []
-    steps = 0
-    while True:
-        for _ in range(_NEWTON_STEPS):
-            scaled = inv @ blocks
-            grad = -t * traces - np.einsum("jaa->j", scaled).real
-            # hess[j, l] = tr(S^-1 A_j S^-1 A_l), one contraction over the
-            # basis; Hermitian and real up to rounding
-            hess_eigs, hess_vecs = np.linalg.eigh(
-                np.tensordot(scaled, scaled, axes=([1, 2], [2, 1]))
-            )
-            if hess_eigs[0] <= 0.0:
-                raise ConvergenceError(f"barrier Newton system singular at t = {t:.3g}")
-            dy = (hess_vecs @ ((hess_vecs.conj().T @ -grad) / hess_eigs)).real
-            dec2 = float(-grad @ dy)
-            if dec2 <= _NEWTON_TOL:
-                break
-            step = 1.0 if dec2 < 1.0 / 16.0 else 1.0 / (1.0 + math.sqrt(dec2))
-            while True:
-                trial = offset + np.einsum("j,jab->ab", y + step * dy, blocks)
-                factored = _pd_inverse(trial)
-                # the linear term apart, so large t costs no precision
-                if factored is not None and (
-                    -t * step * float(traces @ dy) - (factored[0] - logdet)
-                    <= -0.25 * step * dec2
-                ):
-                    break
-                step *= 0.5
-                if step < _MIN_STEP:
-                    raise ConvergenceError(
-                        f"barrier Newton line search stalled at t = {t:.3g}", residual=dec2
-                    )
-            y, s_mat, (logdet, inv) = y + step * dy, trial, factored
-            steps += 1
-        else:
-            raise ConvergenceError(
-                f"barrier stage at t = {t:.3g} not centred in {_NEWTON_STEPS} Newton steps",
-                residual=dec2,
-            )
-
-        x_mat = s_mat[:r, :r]
-        dual = (inv - inv @ np.einsum("j,jab->ab", dy, blocks) @ inv) / t
-        dual_y = dual[r : 2 * r, r : 2 * r]
-        reflected_b = _kernels.reflect4(keep @ _psd_part(dual[2 * r :, 2 * r :]) @ keep.conj().T)
-        z = np.eye(r) + _psd_part(dual[:r, :r]) + v.conj().T @ reflected_b @ v
-        z = dual_y + np.einsum("j,jab->ab", np.einsum("jab,ba->j", basis, z - dual_y).real, basis)
-        best_upper = min(best_upper, float(np.einsum("a,aa->", d, _psd_part(z)).real))
-
-        w, u = np.linalg.eigh(rho - v @ x_mat @ v.conj().T)
-        lam = 1.0 - float(w[3])
-        if lam > best_lower:
-            split = _pure_split(rho, float(w[3]), u[:, 3])
-            if lam * min(split.margins.values()) >= -(_FEAS_TOL * lam + outside + _kernels._FLOOR):
-                best_lower, best = lam, split
-        history.append((len(history), best_lower))
-        if best_upper - best_lower <= _GAP_TOL or (2 * r + 4) / t <= _BARRIER_GAP:
+    for it in range(_PD_ITERATIONS):
+        gap = float(np.einsum("ab,ba->", w_mat, z_mat).real)
+        e, u = np.linalg.eigh(np.stack([w_mat, z_mat]))
+        last = it == _PD_ITERATIONS - 1 or e[:, 0].min() <= 0.0
+        if gap <= _GAP_TOL or last:
+            w_dx = w_mat[r : 2 * r, r : 2 * r]
+            w_p = _kernels.reflect4(keep @ _psd_part(w_mat[2 * r :, 2 * r :]) @ keep.conj().T)
+            z = np.eye(r) + _psd_part(w_mat[:r, :r]) + v.conj().T @ w_p @ v
+            z = w_dx + np.einsum("j,jab->ab", np.einsum("jab,ba->j", basis, z - w_dx).real, basis)
+            best_upper = min(best_upper, float(np.einsum("a,aa->", d, _psd_part(z)).real))
+            top, top_vecs = np.linalg.eigh(rho - v @ z_mat[:r, :r] @ v.conj().T)
+            lam = 1.0 - float(top[3])
+            if lam > best_lower:
+                split = _pure_split(rho, eigs, vecs, float(top[3]), top_vecs[:, 3])
+                if lam * (min(split.margins.values()) + _FEAS_TOL) + outside + _kernels._FLOOR >= 0:
+                    best_lower, best = lam, split
+        history.append((it, best_lower))
+        if last or best_upper - best_lower <= min(_GAP_TOL, _GAP_RATIO * best_lower):
             break
-        t *= _T_GROWTH
+        try:
+            w_mat, z_mat, y = _hkm_step(w_mat, z_mat, y, e, u, blocks, offset, traces)
+        except np.linalg.LinAlgError:
+            break
+    steps = len(history)
 
     if best is None:
-        raise ConvergenceError(f"no stage of the barrier gave a feasible split (t = {t:.3g})")
+        raise ConvergenceError(
+            f"no interior-point iterate gave a feasible split in {steps} iterations"
+        )
     if best_upper < best_lower - _BRACKET_SLACK - outside:
         raise NumericalInconsistencyError(
             f"dual bound {best_upper:.12g} lies below the split weight {best_lower:.12g}"
@@ -596,11 +593,12 @@ def ls_optimize(state: TwoQubitState, tol: float = DEFAULT_TOL) -> LSDecompositi
     over the product states of its support.  These routes are exact:
     ``upper_bound`` equals ``lambda_`` and the history is ((0, lambda),).
 
-    Ranks 3 and 4 run a log-barrier SDP restricted to the support (see
-    ``_barrier_split``).  ``lambda_`` is the weight of a feasible split
-    with a pure remainder, hence a certified lower bound on S, and
-    ``upper_bound`` is a dual bound, usually within about 1e-8 of it.
-    The history holds (barrier stage, best lower bound so far).
+    Ranks 3 and 4 run a primal-dual interior-point SDP restricted to the
+    support (see ``_interior_point_split``).  ``lambda_`` is the weight of
+    a feasible split with a pure remainder, hence a certified lower bound
+    on S, and ``upper_bound`` is a dual bound, within 1e-8 and S/10 of it
+    unless the solve stalls.  The history holds (iteration, best lower
+    bound so far) and ``newton_steps`` the iteration count.
     Eigenvalues at or below ``tol`` count as zero in the solve, so a state
     that is positive only up to ``tol`` still gets a split reproducing it,
     with margins as negative as those eigenvalues.
@@ -626,7 +624,7 @@ def _entangled_split(rho, eigs, vecs, tol):
         )
     if rank == 2:
         return _rank2_split(rho, eigs, vecs)
-    return _barrier_split(rho, eigs, vecs, rank, tol)
+    return _interior_point_split(rho, eigs, vecs, rank, tol)
 
 
 def _detect_werner_second(rho, eigs, vecs):
@@ -682,9 +680,9 @@ def degree(state: TwoQubitState, tol: float = DEFAULT_TOL) -> DegreeResult:
 
     Order: separable shortcut, then ``_route``'s vanishing-Pauli-vector,
     chaos-plus-pure (covers entangled pure states at x = 1) and rank-2
-    closed forms, and finally ``ls_optimize``'s barrier SDP, whose S is a
-    certified lower bound reported with its dual upper bound, the gap
-    between them and the Newton step count.  A rank-2 closed form that
+    closed forms, and finally ``ls_optimize``'s interior-point SDP, whose S
+    is a certified lower bound reported with its dual upper bound, the gap
+    between them and the iteration count.  A rank-2 closed form that
     disagrees with the exact split of the same spectrum raises.
     """
     if is_separable(state, tol).decision:

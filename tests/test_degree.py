@@ -386,6 +386,42 @@ def test_degree_near_product_kernel_answers_or_raises_a_qpair_error(seed):
     assert 0.0 <= res.S <= 1.0
 
 
+@pytest.mark.parametrize("eps", [0.0, 1e-3, 3e-3, 1e-2])
+def test_degree_answers_near_product_kernels_with_a_tight_bracket(eps):
+    # the interior-point solve starts infeasible, so a kernel vector close to
+    # a product (a thin PPT direction) needs no strictly feasible start point
+    for seed in range(10):
+        state = _near_product_kernel_state(seed, eps)
+        res = degree(state)
+        assert res.method == "Optimizer"
+        assert 0.0 <= res.family_data["gap"] <= 1e-8
+        assert res.family_data["newton_steps"] <= 25
+        _check_decomposition(state, res.decomposition)
+
+
+@pytest.mark.parametrize("rank", [3, 4])
+def test_ls_optimize_brackets_tiny_S_relative_to_S(rank):
+    # an absolute 1e-8 bracket would say nothing about an S of a few 1e-9;
+    # the separable part, projected onto rho's support, keeps its margins
+    # at rounding level although it is normalized by 1 / S
+    for seed in range(20):
+        state = _bell_with_tiny_admixture(rank, seed)
+        dec = ls_optimize(state)
+        assert 0.0 < dec.lambda_ < 1e-8
+        assert 0.0 <= dec.upper_bound - dec.lambda_ <= dec.lambda_ / 10.0
+        _check_decomposition(state, dec)
+
+
+def test_ls_optimize_solves_random_states_in_few_iterations():
+    # the primal-dual solve takes 9-13 iterations here, one Newton system each
+    for seed in range(6):
+        for rank in (3, 4):
+            dec = ls_optimize(random_state(seed, target_rank=rank))
+            assert dec.newton_steps <= 20
+            assert 0.0 <= dec.upper_bound - dec.lambda_ <= 1e-8
+            assert [it for it, _ in dec.objective_history] == list(range(dec.newton_steps))
+
+
 def test_ls_optimize_requires_validity():
     invalid = TwoQubitState(s=np.zeros(3), t=np.zeros(3), C=-np.diag([0.8, 0.5, 0.2]))
     with pytest.raises(PreconditionError, match="valid"):
