@@ -14,7 +14,7 @@ minimum of two of them, so {lam : margin(lam) >= threshold(lam)} with an
 affine threshold is convex.  The solver exploits this: golden-section
 search on the concave margin finds an interior feasible point even when
 the interval degenerates to a single touching point, and bisection then
-pins the upper boundary.
+pins the upper boundary.  This paragraph describes harness-only code.
 """
 
 from __future__ import annotations
@@ -33,6 +33,8 @@ __all__ = [
 _FLOOR = 1e-14
 
 _GOLDEN = 0.6180339887498949
+# left end of _golden_max's interval: its functions divide by the argument
+_GOLDEN_LOW = 1e-9
 
 
 def reflect4(m):
@@ -95,7 +97,7 @@ def _golden_max(f, steps):
 
     Returns (argmax, f(argmax)).
     """
-    a = 1e-9
+    a = _GOLDEN_LOW
     b = 1.0
     c1 = b - _GOLDEN * (b - a)
     c2 = a + _GOLDEN * (b - a)

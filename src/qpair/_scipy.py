@@ -2,7 +2,7 @@
 
 Importing ``scipy.optimize`` costs about half a second, several times the
 rest of ``import qpair``, and only the rank-2 frame polish in
-``canonical.rank2_canonical`` needs it.  So the import waits for the first
+``canonical._rank2_frame`` needs it.  So the import waits for the first
 call, and CLI calls that never reach a rank-2 frame load no scipy at all.
 
 ``canonical`` and ``degree`` bind ``minimize`` as a module attribute, which

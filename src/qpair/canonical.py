@@ -209,11 +209,7 @@ def _initial_frame(pu, pv, pm):
     return _embed_z(u2).T @ oe, on @ _embed_z(v2h).T
 
 
-def rank2_canonical(
-    state: TwoQubitState,
-    tol: float = DEFAULT_TOL,
-    return_frame: bool = False,
-):
+def rank2_canonical(state: TwoQubitState, tol: float = DEFAULT_TOL) -> Rank2Params:
     """Recover the generic-form parameters of a rank-2 state.
 
     Searches over rotation pairs (two rotation vectors, 6 parameters) for
@@ -223,18 +219,23 @@ def rank2_canonical(
     frame.  An analytic alignment already solves the input up to rounding;
     one Nelder-Mead run from it polishes the frame.
 
-    Returns the ``Rank2Params``, or ``(params, o_ee, o_nn)`` with
-    ``return_frame=True``, where applying (o_ee, o_nn) to the input
-    reproduces the family state.  The analytic frame's in-plane SVD already
-    orders g1 >= g2, and an unordered result raises; the (pi, pi) pair then
-    makes x1 > 0 (x2 >= 0 when x1 vanishes).
+    The analytic frame's in-plane SVD already orders g1 >= g2, and an
+    unordered result raises; the (pi, pi) pair then makes x1 > 0 (x2 >= 0
+    when x1 vanishes).  At g2 = 0 (g1 = pi/2) an x-rotation of qubit 2
+    (qubit 1) turns (x2, x3) within the orbit, so there x2 = 0 and x3 =
+    hypot(x2, x3).
     """
     if purity_rank(state, tol).rank != 2:
         raise PreconditionError("rank2_canonical requires a rank-2 state")
+    return _rank2_frame(state, np.linalg.eigh(to_density_matrix(state))[1])[0]
+
+
+def _rank2_frame(state, vecs):
+    """``rank2_canonical``'s (params, o_ee, o_nn) of a valid rank-2 state from its
+    ``eigh`` vectors; applying (o_ee, o_nn) to the state gives the family state."""
     from scipy.spatial.transform import Rotation
 
     s0, t0, c0 = state.s, state.t, state.C
-    eigs, vecs = np.linalg.eigh(to_density_matrix(state))
     support = vecs[:, 2:] @ vecs[:, 2:].conj().T
     pu0, pv0, pm0 = _projector_coefficients(support)
 
@@ -243,14 +244,12 @@ def rank2_canonical(
         on = Rotation.from_rotvec(theta[3:]).as_matrix()
         return oe, on
 
-    def mismatch(oe, on):
+    def mismatch(oe, on, params=None):
         s = oe @ s0
         t = on.T @ t0
         c = oe @ c0 @ on
-        pu = oe @ pu0
-        pv = on.T @ pv0
-        pm = oe @ pm0 @ on
-        params = _rank2_extract(pu, pv, pm, s, t, c)
+        if params is None:
+            params = _rank2_extract(oe @ pu0, on.T @ pv0, oe @ pm0 @ on, s, t, c)
         sp, tp, cp = rank2_family_params(*params)
         diff = np.concatenate([s - sp, t - tp, (c - cp).ravel()])
         return params, diff
@@ -288,6 +287,14 @@ def rank2_canonical(
     if params[2] < -_ZERO or (abs(params[2]) <= _ZERO and params[3] < -_ZERO):
         oe, on = _RZ_PI @ oe, on @ _RZ_PI
         params, diff = mismatch(oe, on)
+    # a corner's x-rotation turns (x2, x3): fix the representative (0, |(x2, x3)|)
+    g1, g2, x1, x2, x3 = params
+    h = math.hypot(x2, x3)
+    if (g2 <= _ZERO or g1 >= math.pi / 2 - _ZERO) and h > 0.0:
+        rx = np.array([[1.0, 0.0, 0.0], [0.0, x3 / h, -x2 / h], [0.0, x2 / h, x3 / h]])
+        oe, on = (oe, on @ rx.T) if g2 <= _ZERO else (rx @ oe, on)
+        x2, x3 = 0.0, h
+        params, diff = mismatch(oe, on, (g1, g2, x1, x2, x3))
 
     residual = float(np.max(np.abs(diff)))
     if residual > _CHECK_TOL:
@@ -296,7 +303,6 @@ def rank2_canonical(
             residual=residual,
         )
 
-    g1, g2, x1, x2, x3 = params
     g1 = min(max(g1, 0.0), math.pi / 2)
     g2 = min(max(g2, 0.0), g1)
     result = Rank2Params(gamma1=g1, gamma2=g2, x1=x1, x2=x2, x3=x3)
@@ -308,6 +314,4 @@ def rank2_canonical(
             f"recovered x^2 = {result.x_sq:.12g} but the invariants give "
             f"(A2 - 2)/4 = {x_sq_expected:.12g}"
         )
-    if return_frame:
-        return result, oe, on
-    return result
+    return result, oe, on

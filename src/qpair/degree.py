@@ -29,11 +29,11 @@ from . import _kernels
 # perfbench/tracing.py rebinds it to count solver calls, until the benchmark
 # stops reading it.  It is the deferred proxy, so importing degree loads no scipy.
 from ._scipy import minimize  # noqa: F401
-from .canonical import rank2_canonical
+from .canonical import _rank2_frame
 from .classify import DEFAULT_TOL, _require_state, is_separable
 from .errors import ConvergenceError, NumericalInconsistencyError, PreconditionError
 from .families import Chaotic, Rank2Params, RankTwo, construct_family
-from .invariants import local_invariants, trace_modulus
+from .invariants import trace_modulus
 from .state import (
     TwoQubitState,
     fix_global_phase,
@@ -175,7 +175,7 @@ def degree_werner_first(state: TwoQubitState, tol: float = DEFAULT_TOL) -> float
 
 def _werner_first(state):
     """(S, det C, Spur|C|) of a valid state with s = t = 0."""
-    det_c = local_invariants(state).a3_1
+    det_c = float(np.linalg.det(state.C))
     tm = trace_modulus(state.C)
     if det_c >= 0.0 or tm <= 1.0:
         return 1.0, det_c, tm
@@ -269,14 +269,14 @@ def degree_rank2(params: Rank2Params, tol: float = DEFAULT_TOL) -> Rank2Degree:
     """
     if not isinstance(params, Rank2Params):
         raise TypeError(f"expected Rank2Params, got {type(params).__name__}")
-    return _rank2_closed_form(params, tol)
+    if is_separable(construct_family(RankTwo(params)), tol).decision:
+        return Rank2Degree(S=1.0, pair_kind=None)
+    return _rank2_closed_form(params)
 
 
-def _rank2_closed_form(params, tol):
-    """``degree_rank2``, minus the separability test when ``tol`` is None."""
-    if math.sin(params.gamma1) * math.cos(params.gamma2) <= _EXACT_SLACK or (
-        tol is not None and is_separable(construct_family(RankTwo(params)), tol).decision
-    ):
+def _rank2_closed_form(params):
+    """``degree_rank2`` of parameters already known to be entangled."""
+    if math.sin(params.gamma1) * math.cos(params.gamma2) <= _EXACT_SLACK:
         return Rank2Degree(S=1.0, pair_kind=None)
 
     theta = _rank2_theta(params)
@@ -657,11 +657,10 @@ def _route(state: TwoQubitState, tol: float):
     ``degree`` and CLI ``classify`` both decide here.  s = t = 0 gives
     (ClosedFormWernerFirst, None), chaos plus a pure state (ClosedFormWernerSecond,
     (x, p)), rank 2 (ClosedFormRank2, Rank2Params), anything else (Optimizer,
-    None).  One ``eigh`` serves the last two tests and is handed on as
-    ``spectral`` = (rho, eigs, vecs), None for s = t = 0.  Its eigenvalues differ
-    from ``eigvalsh``'s by about 1e-15, so its rank can disagree with
-    ``purity_rank`` only for an eigenvalue that close to ``tol``, and then
-    ``rank2_canonical``'s precondition raises instead of answering.
+    None).  One ``eigh`` serves the last two tests, decides the rank, gives
+    the rank-2 frame its support and is handed on as ``spectral`` =
+    (rho, eigs, vecs), None for s = t = 0.  No second rank decision runs, so
+    no disagreement with ``purity_rank``'s ``eigvalsh`` can raise here.
     """
     if _pauli_vectors_vanish(state, tol):
         return "ClosedFormWernerFirst", None, None
@@ -671,7 +670,7 @@ def _route(state: TwoQubitState, tol: float):
     if detected is not None:
         return "ClosedFormWernerSecond", detected, spectral
     if int(np.sum(spectral[1] > tol)) == 2:
-        return "ClosedFormRank2", rank2_canonical(state, tol), spectral
+        return "ClosedFormRank2", _rank2_frame(state, spectral[2])[0], spectral
     return "Optimizer", None, spectral
 
 
@@ -698,7 +697,7 @@ def degree(state: TwoQubitState, tol: float = DEFAULT_TOL) -> DegreeResult:
         rec = degree_werner_second(*data)
         s_val, family_data = rec.S, {"x": data[0], "p": data[1], "q0": rec.q0, "p0": rec.p0}
     elif method == "ClosedFormRank2":
-        rec = _rank2_closed_form(data, None)
+        rec = _rank2_closed_form(data)
         split = _rank2_split(*spectral).lambda_
         if abs(rec.S - split) > _RANK2_CROSS_SLACK:
             raise NumericalInconsistencyError(

@@ -32,6 +32,10 @@ __all__ = [
 ]
 
 _EPS = 1e-12
+# rounding by which x1^2 + x2^2 + x3^2 of a Rank2Params may exceed 1
+_X_SQ_SLACK = 1e-9
+# most negative eigenvalue a constructed WernerFirst state may have
+_EIG_SLACK = 1e-9
 # allowed deviation of a rotation matrix from orthogonality and unit determinant
 _ROTATION_TOL = 1e-10
 
@@ -177,7 +181,7 @@ class Rank2Params:
                 f"angles must satisfy pi/2 >= gamma1 >= gamma2 >= 0, "
                 f"got ({self.gamma1}, {self.gamma2})"
             )
-        if self.x_sq > 1.0 + 1e-9:
+        if self.x_sq > 1.0 + _X_SQ_SLACK:
             raise ValueError(f"x1^2 + x2^2 + x3^2 = {self.x_sq:.17g} exceeds 1")
 
     @property
@@ -279,7 +283,7 @@ def construct_family(spec) -> TwoQubitState:
         state = TwoQubitState(s=np.zeros(3), t=np.zeros(3), C=c)
         # Positivity is not automatic for arbitrary characteristic values.
         eig_min = np.linalg.eigvalsh(to_density_matrix(state))[0]
-        if eig_min < -1e-9:
+        if eig_min < -_EIG_SLACK:
             raise ValidityError(
                 f"characteristic values ({spec.c1}, {spec.c2}, {spec.c3}) with "
                 f"sign {spec.sign:+.0f} give minimum eigenvalue {eig_min:.6g} < 0",

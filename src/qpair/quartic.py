@@ -44,6 +44,8 @@ _EPS = float(np.finfo(np.float64).eps)
 _NOISE_UNITS = 64.0
 # largest imaginary residue of a companion root that still counts as real
 _IMAG_ERROR = 1e-6
+# a derivative this small gives no Newton step: the step would overflow
+_TINY_SLOPE = 1e-300
 
 
 def _horner(coeffs, z):
@@ -73,7 +75,7 @@ def _polish(coeffs, dcoeffs, z, iters=6):
     """
     for _ in range(iters):
         dp = _horner(dcoeffs, z)
-        if abs(dp) < 1e-300:
+        if abs(dp) < _TINY_SLOPE:
             break
         step = _horner(coeffs, z) / dp
         if abs(step) > 0.05 * (1.0 + abs(z)):

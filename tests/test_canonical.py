@@ -25,7 +25,7 @@ from qpair import (
     rank2_family_params,
     to_density_matrix,
 )
-from qpair.canonical import CanonicalForm, apply_local, diagonalize_cross
+from qpair.canonical import CanonicalForm, _rank2_frame, apply_local, diagonalize_cross
 
 from conftest import random_rotation
 
@@ -111,9 +111,14 @@ def _scrambled(par, rng):
     )
 
 
+def _canonical_frame(state):
+    # (params, o_ee, o_nn) from the eigh that degree() hands to the frame
+    return _rank2_frame(state, np.linalg.eigh(to_density_matrix(state))[1])
+
+
 def test_rank2_canonical_recovers_parameters(rng):
     par = Rank2Params(1.1, 0.4, 0.3, -0.25, 0.2)
-    got, o_ee, o_nn = rank2_canonical(_scrambled(par, rng), return_frame=True)
+    got, o_ee, o_nn = _canonical_frame(_scrambled(par, rng))
     assert got.gamma1 == pytest.approx(par.gamma1, abs=1e-7)
     assert got.gamma2 == pytest.approx(par.gamma2, abs=1e-7)
     # The (pi, pi) z-rotation symmetry allows a joint sign flip of
@@ -129,8 +134,8 @@ def test_rank2_canonical_recovers_parameters(rng):
         Rank2Params(0.9, 0.55, 0.15, 0.3, -0.4),
         # the degenerate corners take the fallback branches of the
         # analytic first frame: gamma2 = 0 empties v, gamma1 = pi/2
-        # empties u; there the labels (x2, x3) are not unique, so only
-        # the frame is checked
+        # empties u; there the labels come out as (x1, 0, hypot(x2, x3)),
+        # which test_rank2_canonical_fixes_the_corner_labels checks
         Rank2Params(0.9, 0.0, 0.15, 0.3, -0.4),
         Rank2Params(math.pi / 2, 0.55, 0.15, 0.3, -0.4),
         Rank2Params(math.pi / 2, 0.0, 0.15, 0.3, -0.4),
@@ -140,10 +145,40 @@ def test_rank2_canonical_recovers_parameters(rng):
 )
 def test_rank2_canonical_frame_reproduces_family_state(par, rng):
     state = _scrambled(par, rng)
-    got, o_ee, o_nn = rank2_canonical(state, return_frame=True)
+    got, o_ee, o_nn = _canonical_frame(state)
     aligned = apply_local(state, o_ee, o_nn)
     family = construct_family(RankTwo(got))
     assert np.allclose(aligned.as_vector(), family.as_vector(), atol=1e-7)
+
+
+@pytest.mark.parametrize(
+    "par",
+    [
+        Rank2Params(0.9, 0.0, 0.15, 0.3, -0.4),
+        Rank2Params(math.pi / 2, 0.6, 0.15, 0.3, -0.4),
+        Rank2Params(math.pi / 2, 0.0, 0.15, 0.3, -0.4),
+    ],
+    ids=["gamma2_zero", "gamma1_right", "both_corners"],
+)
+def test_rank2_canonical_fixes_the_corner_labels(par, rng):
+    # at gamma2 = 0 an x-rotation of qubit 2, and at gamma1 = pi/2 one of
+    # qubit 1, turns (x2, x3) within the orbit; every scrambling must land on
+    # x2 = +0.0, x3 = hypot(x2, x3), with the frame and S unchanged
+    from qpair import degree
+
+    for _ in range(6):
+        state = _scrambled(par, rng)
+        got, o_ee, o_nn = _canonical_frame(state)
+        assert got.gamma1 == pytest.approx(par.gamma1, abs=1e-12)
+        assert got.gamma2 == pytest.approx(par.gamma2, abs=1e-12)
+        assert got.x1 == pytest.approx(par.x1, abs=1e-12)
+        assert math.copysign(1.0, got.x2) == 1.0 and got.x2 == 0.0
+        assert got.x3 == pytest.approx(math.hypot(par.x2, par.x3), abs=1e-12)
+        assert rank2_canonical(state) == got
+        aligned = apply_local(state, o_ee, o_nn)
+        family = construct_family(RankTwo(got))
+        assert np.allclose(aligned.as_vector(), family.as_vector(), atol=1e-12)
+        assert degree(state).S == pytest.approx(0.5, abs=1e-12)
 
 
 def test_rank2_canonical_output_is_label_invariant(rng):
@@ -183,7 +218,7 @@ def test_rank2_canonical_orders_swapped_angles():
     # sorts the support projector's M block), so no swap step is needed.
     g1, g2, x1, x2, x3 = 0.4, 1.1, 0.3, 0.25, 0.2
     state = TwoQubitState(*rank2_family_params(g1, g2, x1, x2, x3))
-    got, o_ee, o_nn = rank2_canonical(state, return_frame=True)
+    got, o_ee, o_nn = _canonical_frame(state)
     assert got.gamma1 == pytest.approx(g2, abs=1e-7)
     assert got.gamma2 == pytest.approx(g1, abs=1e-7)
     assert got.x1 == pytest.approx(x2, abs=1e-7)
@@ -223,7 +258,7 @@ def test_random_rank2_states_round_trip(rng):
     # on a reproducing frame.
     for seed in (101, 202):
         state = random_state(seed, target_rank=2)
-        got, o_ee, o_nn = rank2_canonical(state, return_frame=True)
+        got, o_ee, o_nn = _canonical_frame(state)
         aligned = apply_local(state, o_ee, o_nn)
         family = construct_family(RankTwo(got))
         assert np.allclose(aligned.as_vector(), family.as_vector(), atol=1e-6)

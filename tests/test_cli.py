@@ -233,7 +233,7 @@ _WERNER_ARGS = ["random", "--family", "werner", "--params", "0.5"]
     [
         (_RANK4_ARGS, "degree", 1),
         (["random", "--seed", "1", "--rank", "3"], "degree", 1),
-        (_RANK2_ARGS, "degree", 2),
+        (_RANK2_ARGS, "degree", 1),
         (_WERNER_ARGS, "degree", 1),
         (_RANK4_ARGS, "decompose", 1),
         (_RANK2_ARGS, "decompose", 1),
@@ -242,8 +242,8 @@ _WERNER_ARGS = ["random", "--family", "werner", "--params", "0.5"]
         (["random", "--family", "generic_pure", "--params", "0.35"], "canonical", 2),
         (_RANK4_ARGS, "canonical", 1),
         # classify asks each public decider in turn: is_state, is_separable,
-        # purity_rank, is_entangled and, at rank 2, rank2_canonical
-        (_RANK2_ARGS, "classify", 5),
+        # purity_rank and is_entangled; the rank-2 frame runs on _route's eigh
+        (_RANK2_ARGS, "classify", 4),
         (_RANK4_ARGS, "classify", 4),
     ],
 )

@@ -20,7 +20,6 @@ from qpair import (
     GenericPure,
     NumericalInconsistencyError,
     PreconditionError,
-    QpairError,
     Rank2Params,
     RankTwo,
     TwoQubitState,
@@ -213,7 +212,7 @@ def test_ls_optimize_werner():
     assert 0.6 <= dec.upper_bound + 1e-9
     _check_decomposition(state, dec)
     assert is_separable(dec.sep, tol=1e-7).decision
-    # History tracks the best lower bound, one entry per barrier stage.
+    # History tracks the best lower bound, one entry per interior-point iteration.
     assert [stage for stage, _ in dec.objective_history] == list(
         range(len(dec.objective_history))
     )
@@ -312,7 +311,7 @@ def _phi_plus_with_01():
 )
 def test_ls_optimize_splits_states_with_tiny_S(state, rank):
     # A weight of about 1e-9 scales up any rounding of the separable part a
-    # billionfold: its trace must still read back as 1, and the barrier must
+    # billionfold: its trace must still read back as 1, and the solve must
     # still accept eigenvalues that are negative only by rounding
     rho = to_density_matrix(state)
     assert np.sum(np.linalg.eigvalsh(rho) > 1e-9) == rank
@@ -331,7 +330,7 @@ def test_ls_optimize_splits_states_with_tiny_S(state, rank):
 
 def _product_kernel_rank3():
     # kernel vector |00>, a product vector: the partial transpose of the
-    # support projector is singular, so the barrier needs the reduced face
+    # support projector is singular, so the solve works on the reduced face
     bell = np.array([0.0, 1.0, 1.0, 0.0]) / math.sqrt(2.0)
     rho = 0.5 * np.outer(bell, bell) + np.diag([0.0, 0.3, 0.0, 0.2])
     return from_density_matrix(rho)
@@ -375,15 +374,16 @@ def _near_product_kernel_state(seed, eps=1e-9):
 
 
 @pytest.mark.parametrize("seed", [2, 7, 8])
-def test_degree_near_product_kernel_answers_or_raises_a_qpair_error(seed):
-    # the barrier's start point can fail to be numerically strictly feasible
-    # here; that must surface as a qpair error, not a bare TypeError
+def test_degree_near_product_kernel_answers(seed):
+    # a kernel vector within 1e-9 of a product leaves the PPT block a thin
+    # direction below double precision; the interior-point solve still
+    # answers with a valid split, though its bracket may exceed 1e-8
     state = _near_product_kernel_state(seed)
-    try:
-        res = degree(state)
-    except QpairError:
-        return
+    res = degree(state)
+    assert res.method == "Optimizer"
     assert 0.0 <= res.S <= 1.0
+    assert res.family_data["gap"] >= 0.0
+    _check_decomposition(state, res.decomposition)
 
 
 @pytest.mark.parametrize("eps", [0.0, 1e-3, 3e-3, 1e-2])
@@ -511,7 +511,7 @@ def test_degree_optimizer_agrees_with_werner_second_closed_form():
 @pytest.mark.parametrize(
     "state, passes",
     [
-        (construct_family(RankTwo(Rank2Params(1.1, 0.7, 0.3, 0.25, 0.4))), 2),
+        (construct_family(RankTwo(Rank2Params(1.1, 0.7, 0.3, 0.25, 0.4))), 1),
         (random_state(3), 1),
         (construct_family(Werner(0.5)), 1),
         (construct_family(WernerSecond(x=0.8, p=0.6)), 1),
@@ -519,8 +519,8 @@ def test_degree_optimizer_agrees_with_werner_second_closed_form():
 )
 def test_degree_counts_the_rank_from_the_route_eigensolve(state, passes, monkeypatch):
     # the dispatcher reads the rank off the eigh it already ran for the
-    # chaos-plus-pure test and hands that eigh on, so only the separability
-    # decision (and rank2_canonical's precondition at rank 2) checks validity
+    # chaos-plus-pure test and hands that eigh on, to the rank-2 frame too,
+    # so only the separability decision checks validity
     import qpair.classify
     from conftest import count_calls
 
