@@ -511,7 +511,13 @@ def test_degree_optimizer_agrees_with_werner_second_closed_form():
 @pytest.mark.parametrize(
     "state, passes",
     [
-        (construct_family(RankTwo(Rank2Params(1.1, 0.7, 0.3, 0.25, 0.4))), 1),
+        # the rank-2 case keeps the id it had when the rank-2 frame ran its
+        # own positivity pass, so the case name stays stable
+        pytest.param(
+            construct_family(RankTwo(Rank2Params(1.1, 0.7, 0.3, 0.25, 0.4))),
+            1,
+            id="state0-2",
+        ),
         (random_state(3), 1),
         (construct_family(Werner(0.5)), 1),
         (construct_family(WernerSecond(x=0.8, p=0.6)), 1),
