@@ -43,6 +43,9 @@ _ORDER_SLACK = 1e-9
 # largest rank-2 frame residual, and largest gap between the recovered x^2
 # and (A2 - 2)/4, that rank2_canonical accepts
 _CHECK_TOL = 1e-6
+# scipy's from_rotvec takes sin(angle/2)/angle from its series at and below
+# this angle; _rotvec_matrix switches at the same point
+_SERIES_ANGLE = 1e-3
 # Nelder-Mead stopping tolerances of the rank-2 frame polish, on the six
 # rotation-vector coordinates and on the squared residual
 _POLISH_XATOL = 1e-13
@@ -168,19 +171,53 @@ def _rank2_extract(pu, pv, pm, s, t, c):
     return g1, g2, x1, x2, x3
 
 
-def _rotation_to_z(w):
-    from scipy.spatial.transform import Rotation
+def _rotvec_matrix(v):
+    """Rotation matrix of the rotation vector v.
 
+    The same floating-point steps as scipy's
+    ``Rotation.from_rotvec(v).as_matrix()``, in the same order, so the two
+    agree bit for bit: the angle |v|, scipy's series for sin(angle/2)/angle
+    at angles up to ``_SERIES_ANGLE``, the quaternion (scale v,
+    cos(angle/2)), and the quaternion's nine matrix entries.
+    """
+    x, y, z = v.tolist()
+    angle = math.sqrt(x * x + y * y + z * z)
+    if angle <= _SERIES_ANGLE:
+        angle2 = angle * angle
+        scale = 0.5 - angle2 / 48 + angle2 * angle2 / 3840
+    else:
+        scale = math.sin(angle / 2) / angle
+    x, y, z, w = scale * x, scale * y, scale * z, math.cos(angle / 2)
+    x2, y2, z2, w2 = x * x, y * y, z * z, w * w
+    xy, zw, xz, yw, yz, xw = x * y, z * w, x * z, y * w, y * z, x * w
+    return np.array(
+        [
+            [x2 - y2 - z2 + w2, 2 * (xy - zw), 2 * (xz + yw)],
+            [2 * (xy + zw), -x2 + y2 - z2 + w2, 2 * (yz - xw)],
+            [2 * (xz - yw), 2 * (yz + xw), -x2 - y2 + z2 + w2],
+        ]
+    )
+
+
+def _rotation_to_z(w):
+    """The rotation about w x e_z that takes the direction of w to +z.
+
+    Built as a rotation vector and turned into a matrix by
+    ``_rotvec_matrix``, with the cross product written out, so it needs
+    neither scipy nor ``np.cross``.
+    """
     w = np.asarray(w, dtype=np.float64)
     w = w / np.linalg.norm(w)
-    axis = np.cross(w, np.array([0.0, 0.0, 1.0]))
+    x, y, z = w.tolist()
+    # w x e_z with np.cross's products, so zero components keep their signs
+    axis = np.array([y - z * 0.0, z * 0.0 - x, x * 0.0 - y * 0.0])
     norm_axis = float(np.linalg.norm(axis))
     if norm_axis < _ZERO:
         if w[2] > 0:
             return np.eye(3)
         return np.diag([1.0, -1.0, -1.0])
     angle = math.atan2(norm_axis, w[2])
-    return Rotation.from_rotvec(axis / norm_axis * angle).as_matrix()
+    return _rotvec_matrix(axis / norm_axis * angle)
 
 
 def _embed_z(r2):
@@ -217,7 +254,9 @@ def rank2_canonical(state: TwoQubitState, tol: float = DEFAULT_TOL) -> Rank2Para
     the per-frame parameters are not free but extracted from the support
     projector and linear least squares, so the search only has to find the
     frame.  An analytic alignment already solves the input up to rounding;
-    one Nelder-Mead run from it polishes the frame.
+    one Nelder-Mead run from it polishes the frame.  Each rotation vector
+    becomes a matrix through ``_rotvec_matrix``, which gives scipy's
+    ``Rotation`` matrices bit for bit at a fraction of the cost.
 
     The analytic frame's in-plane SVD already orders g1 >= g2, and an
     unordered result raises; the (pi, pi) pair then makes x1 > 0 (x2 >= 0
@@ -232,7 +271,12 @@ def rank2_canonical(state: TwoQubitState, tol: float = DEFAULT_TOL) -> Rank2Para
 
 def _rank2_frame(state, vecs):
     """``rank2_canonical``'s (params, o_ee, o_nn) of a valid rank-2 state from its
-    ``eigh`` vectors; applying (o_ee, o_nn) to the state gives the family state."""
+    ``eigh`` vectors; applying (o_ee, o_nn) to the state gives the family state.
+
+    Nelder-Mead polishes the analytic frame over two rotation vectors, each
+    turned into a matrix by ``_rotvec_matrix``; scipy's ``Rotation`` only
+    converts the analytic start frame to rotation vectors.
+    """
     from scipy.spatial.transform import Rotation
 
     s0, t0, c0 = state.s, state.t, state.C
@@ -240,9 +284,7 @@ def _rank2_frame(state, vecs):
     pu0, pv0, pm0 = _projector_coefficients(support)
 
     def frame_of(theta):
-        oe = Rotation.from_rotvec(theta[:3]).as_matrix()
-        on = Rotation.from_rotvec(theta[3:]).as_matrix()
-        return oe, on
+        return _rotvec_matrix(theta[:3]), _rotvec_matrix(theta[3:])
 
     def mismatch(oe, on, params=None):
         s = oe @ s0

@@ -90,11 +90,22 @@ def subdeterminant(c) -> np.ndarray:
 
     Row i is the cross product of the other two rows in cyclic order; for
     diagonal C = diag(c1, c2, c3) this gives diag(c2*c3, c3*c1, c1*c2).
+    The nine cofactors are written out as scalars, since three ``np.cross``
+    calls on 3-vectors cost some 30 times as much.  Each entry is the
+    a*b - c*d that ``np.cross`` evaluates, in the same order, so the result
+    matches its cross-product rows bit for bit, signed zeros included.
     """
     c = np.asarray(c, dtype=np.float64)
     if c.shape != (3, 3):
         raise ValueError(f"expected a 3x3 matrix, got shape {c.shape}")
-    return np.array([np.cross(c[1], c[2]), np.cross(c[2], c[0]), np.cross(c[0], c[1])])
+    (c00, c01, c02), (c10, c11, c12), (c20, c21, c22) = c.tolist()
+    return np.array(
+        [
+            [c11 * c22 - c12 * c21, c12 * c20 - c10 * c22, c10 * c21 - c11 * c20],
+            [c21 * c02 - c22 * c01, c22 * c00 - c20 * c02, c20 * c01 - c21 * c00],
+            [c01 * c12 - c02 * c11, c02 * c10 - c00 * c12, c00 * c11 - c01 * c10],
+        ]
+    )
 
 
 def local_invariants(state: TwoQubitState) -> LocalInvariants:

@@ -25,7 +25,13 @@ from qpair import (
     rank2_family_params,
     to_density_matrix,
 )
-from qpair.canonical import CanonicalForm, _rank2_frame, apply_local, diagonalize_cross
+from qpair.canonical import (
+    CanonicalForm,
+    _rank2_frame,
+    _rotvec_matrix,
+    apply_local,
+    diagonalize_cross,
+)
 
 from conftest import random_rotation
 
@@ -262,3 +268,63 @@ def test_random_rank2_states_round_trip(rng):
         aligned = apply_local(state, o_ee, o_nn)
         family = construct_family(RankTwo(got))
         assert np.allclose(aligned.as_vector(), family.as_vector(), atol=1e-6)
+
+
+def test_rotvec_matrix_matches_scipy_bit_for_bit(rng):
+    # the kernel repeats scipy's floating-point steps, so the matrices must
+    # agree byte for byte (signed zeros included) on both sides of the
+    # small-angle series switch at 1e-3, at angle 0 and pi, and on vectors
+    # with exact zero components
+    from scipy.spatial.transform import Rotation
+
+    switch = 1e-3
+    angles = [
+        0.0,
+        1e-9,
+        np.nextafter(switch, 0.0),
+        switch * (1 - 1e-16),
+        switch,
+        switch * (1 + 1e-16),
+        np.nextafter(switch, 1.0),
+        0.4,
+        np.nextafter(math.pi, 0.0),
+        math.pi,
+        np.nextafter(math.pi, 4.0),
+        5.0,
+    ]
+    axes = np.concatenate([np.eye(3), -np.eye(3), rng.normal(size=(30, 3))])
+    axes /= np.linalg.norm(axes, axis=1)[:, None]
+    zeroed = rng.normal(size=(300, 3))
+    zeroed[rng.random(zeroed.shape) < 0.4] = 0.0
+    zeroed[rng.random(zeroed.shape) < 0.2] *= -1.0
+    vectors = [axis * angle for axis in axes for angle in angles]
+    vectors += list(zeroed) + [np.zeros(3), -np.zeros(3)]
+    for v in vectors:
+        want = Rotation.from_rotvec(v).as_matrix()
+        assert _rotvec_matrix(v).tobytes() == want.tobytes(), v
+
+
+def test_rank2_frame_and_invariants_need_no_cross_or_rotvec(monkeypatch, rng):
+    # the closed-form kernels replace np.cross and scipy's from_rotvec on the
+    # hot paths; with both made to raise, the answers must not change
+    from scipy.spatial.transform import Rotation
+
+    from qpair import degree, local_invariants
+
+    rotated = _scrambled(Rank2Params(1.1, 0.4, 0.3, -0.25, 0.2), rng)
+    generic = random_state(5)
+    want = (rank2_canonical(rotated), degree(rotated), local_invariants(generic))
+
+    def banned(*args, **kwargs):
+        raise AssertionError("slow library path called")
+
+    monkeypatch.setattr(np, "cross", banned)
+    monkeypatch.setattr(Rotation, "from_rotvec", staticmethod(banned))
+    got = (rank2_canonical(rotated), degree(rotated), local_invariants(generic))
+    assert got[0] == want[0]
+    assert (got[1].S, got[1].method, got[1].family_data) == (
+        want[1].S,
+        want[1].method,
+        want[1].family_data,
+    )
+    assert got[2] == want[2]

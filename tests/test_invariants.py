@@ -79,6 +79,20 @@ def test_subdeterminant_identity(rng):
         subdeterminant(np.eye(2))
 
 
+def test_subdeterminant_matches_cross_rows_bit_for_bit(rng):
+    # the scalar cofactors repeat np.cross's products and differences, so
+    # the result must agree byte for byte, signed zeros included
+    matrices = [np.zeros((3, 3)), -np.zeros((3, 3)), np.diag([2.0, -3.0, 0.0])]
+    for _ in range(300):
+        c = rng.normal(size=(3, 3))
+        c[rng.random((3, 3)) < 0.3] = 0.0
+        c[rng.random((3, 3)) < 0.3] *= -1.0
+        matrices.append(c)
+    for c in matrices:
+        rows = np.array([np.cross(c[1], c[2]), np.cross(c[2], c[0]), np.cross(c[0], c[1])])
+        assert subdeterminant(c).tobytes() == rows.tobytes(), c
+
+
 def test_det_entanglement_two_routes_agree(rng):
     for seed in range(8):
         state = random_state(seed)
