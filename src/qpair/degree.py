@@ -438,39 +438,61 @@ def _psd_part(m):
     return (u * np.maximum(e, 0.0)) @ u.conj().T
 
 
-def _hkm_step(w_mat, z_mat, y, e, u, blocks, offset, traces):
+def _trace_product(w, z, mask):
+    """Re tr(W Z) over a block stack, leaving out the masked padding.
+
+    Z is Hermitian, so tr(W Z) = sum W * conj(Z) entrywise, whose real part
+    is a real dot product of the two stacks viewed as reals.
+    """
+    return float((w * mask).reshape(-1).view(np.float64) @ z.reshape(-1).view(np.float64))
+
+
+def _hkm_step(w, z, y, gap, e, u, sdp):
     """One HKM predictor-corrector step from (W, Z, y), with (e, u) the eigenpairs of W and Z.
 
-    Both solves of the Schur complement M_jl = Re tr(G_j W G_l Z^-1) are LU
-    solves: an explicit M^-1 loses primal feasibility near the optimum.
+    W, Z and the offset C are (3, n, n) stacks of the cone blocks, and ``gap``
+    is tr(W Z).  ``sdp`` holds the coordinate matrices G_j flattened to
+    (m, 3 n n) and viewed as reals, the same G_j laid side by side per block
+    (3, n, m n), C, b, the padding mask and the order 2r + q of the unpadded
+    cone.  As G_j is Hermitian, tr(G_j T) = sum conj(G_j) * T entrywise, so
+    its real part is a real dot product with the flattened G_j.  Per block,
+    two products give K_l = W G_l Z^-1 for every l, so the Schur complement
+    M_jl = Re tr(G_j K_l) is one product and W (dZ - r_d) Z^-1 = sum_l dy_l K_l
+    another.  Both solves of M are LU solves: an explicit M^-1 loses primal
+    feasibility near the optimum.  The mask keeps dW at zero on the padding,
+    where r_d and dZ vanish exactly.
     """
-    size = len(w_mat)
-    gap = float(np.einsum("ab,ba->", w_mat, z_mat).real)
-    z_inv = (u[1] / e[1]) @ u[1].conj().T
+    flat, rows, offset, traces, mask, size = sdp
+    shape, n = w.shape, w.shape[-1]
+    z_inv = (u[1] / e[1][..., None, :]) @ u[1].conj().swapaxes(-1, -2)
     # W^-1/2 and Z^-1/2, which turn a step's distance to the boundary into an eigenvalue
-    isqrt = (u / np.sqrt(e)[:, None, :]) @ u.conj().transpose(0, 2, 1)
-    rd = offset + np.einsum("j,jab->ab", y, blocks) - z_mat
-    schur = np.tensordot(blocks @ w_mat, blocks @ z_inv, axes=([1, 2], [2, 1])).real
+    isqrt = (u / np.sqrt(e)[..., None, :]) @ u.conj().swapaxes(-1, -2)
+    rd = offset + (y @ flat).view(np.complex128).reshape(shape) - z
+    # K[b, a, l, c] = (W G_l Z^-1)[b][a, c], reordered to one row per coordinate
+    k = ((w @ rows).reshape(3, -1, n) @ z_inv).reshape(3, n, -1, n)
+    k = k.transpose(2, 0, 1, 3).reshape(len(flat), -1).view(np.float64)
+    schur = flat @ k.T
+    w_rd = w @ rd @ z_inv
 
     def direction(sigma_mu, second_order):
         # dZ = rd + sum_j dy_j G_j and dW = sigma mu Z^-1 - W - W dZ Z^-1 - second_order,
         # with dy fixed by the primal equations tr(G_j (W + dW)) = -b_j
-        t = sigma_mu * z_inv - w_mat @ rd @ z_inv - second_order
-        dy = np.linalg.solve(schur, traces + np.einsum("jab,ba->j", blocks, t).real)
-        dz = rd + np.einsum("j,jab->ab", dy, blocks)
-        dw = t - w_mat - w_mat @ (dz - rd) @ z_inv
-        return dy, dz, 0.5 * (dw + dw.conj().T)
+        t = sigma_mu * z_inv - w_rd - second_order
+        dy = np.linalg.solve(schur, traces + flat @ t.reshape(-1).view(np.float64))
+        dz = rd + (dy @ flat).view(np.complex128).reshape(shape)
+        dw = (t - w - (dy @ k).view(np.complex128).reshape(shape)) * mask
+        return dy, dz, 0.5 * (dw + dw.conj().swapaxes(-1, -2))
 
     def lengths(dw, dz, fraction):
-        low = np.linalg.eigvalsh(isqrt @ np.stack([dw, dz]) @ isqrt)[:, 0]
+        low = np.linalg.eigvalsh(isqrt @ np.stack([dw, dz]) @ isqrt)[..., 0].min(axis=1)
         return [1.0 if x >= 0.0 else min(1.0, -fraction / x) for x in low]
 
     dy, dz, dw = direction(0.0, 0.0)
     ap, ad = lengths(dw, dz, 1.0)
-    sigma = (float(np.einsum("ab,ba->", w_mat + ap * dw, z_mat + ad * dz).real) / gap) ** 3
+    sigma = (_trace_product(w + ap * dw, z + ad * dz, mask) / gap) ** 3
     dy, dz, dw = direction(sigma * gap / size, dw @ dz @ z_inv)
     ap, ad = lengths(dw, dz, _STEP_FRACTION)
-    return w_mat + ap * dw, z_mat + ad * dz, y + ad * dy
+    return w + ap * dw, z + ad * dz, y + ad * dy
 
 
 def _interior_point_split(rho, eigs, vecs, rank, tol):
@@ -497,7 +519,15 @@ def _interior_point_split(rho, eigs, vecs, rank, tol):
     primal is min tr(C W) over W >= 0 with tr(A_j W) = b_j; tr(W Z) is the
     duality gap.  An infeasible-start primal-dual interior-point method
     (HKM direction, Mehrotra predictor-corrector, ``_hkm_step``) starts at
-    W = Z = 1, y = 0, so it needs no strictly feasible point.  Once
+    W = Z = 1, y = 0, so it needs no strictly feasible point.  W, Z, C and
+    the G_j are stored block by block, as (3, n, n) stacks with n = max(r, q),
+    so every eigensolve and product runs on the three blocks rather than on
+    one mostly zero (2r + q)^2 matrix.  At rank 3 with a full PPT block the
+    X and D - X blocks are padded with one diagonal entry whose G entries
+    are 0 and whose offset is 1, so r_d and dZ vanish there exactly.  A
+    constant mask zeroes dW there and leaves the entry out of tr(W Z), so
+    the padded SDP is the same SDP; unmasked, the pad's W entry would shrink
+    towards 0 and cap the primal step.  Once
     tr(W Z) <= _GAP_TOL every iterate yields
     - a lower bound: with (w, psi) the top eigenpair of rho - sigma,
       ``_pure_split`` gives lambda = 1 - w and a sep that reproduces rho;
@@ -533,30 +563,43 @@ def _interior_point_split(rho, eigs, vecs, rank, tol):
     scale, frame = np.linalg.eigh(keep.conj().T @ _kernels.reflect4(v @ v.conj().T) @ keep)
     keep = keep @ (frame / np.sqrt(np.maximum(scale, _PPT_SCALE_FLOOR))) @ frame.conj().T
     basis = np.einsum("kj,kab->jab", null, herm)
-    q = keep.shape[1]
-    size = 2 * r + q
-    blocks = np.zeros((len(basis), size, size), dtype=np.complex128)
-    blocks[:, :r, :r] = basis
-    blocks[:, r : 2 * r, r : 2 * r] = -basis
-    blocks[:, 2 * r :, 2 * r :] = keep.conj().T @ np.einsum("kj,kab->jab", null, reflected) @ keep
-    offset = np.zeros((size, size), dtype=np.complex128)
-    offset[r : 2 * r, r : 2 * r] = np.diag(d)
-    traces = np.einsum("jaa->j", basis).real
+    m, q = len(basis), keep.shape[1]
+    n = max(r, q)
+    coords = np.zeros((m, 3, n, n), dtype=np.complex128)
+    coords[:, 0, :r, :r] = basis
+    coords[:, 1, :r, :r] = -basis
+    coords[:, 2, :q, :q] = keep.conj().T @ np.einsum("kj,kab->jab", null, reflected) @ keep
+    offset = np.zeros((3, n, n), dtype=np.complex128)
+    offset[1, :r, :r] = np.diag(d)
+    # a block smaller than n is padded with diagonal entries held at W = Z = 1
+    mask = np.ones((3, n, n))
+    for b, k in enumerate((r, r, q)):
+        offset[b, range(k, n), range(k, n)] = 1.0
+        mask[b, range(k, n), range(k, n)] = 0.0
+    sdp = (
+        coords.reshape(m, -1).view(np.float64),
+        coords.transpose(1, 2, 0, 3).reshape(3, n, m * n),
+        offset,
+        np.einsum("jaa->j", basis).real,
+        mask,
+        2 * r + q,
+    )
 
-    w_mat, z_mat, y = np.eye(size), np.eye(size), np.zeros(len(basis))
+    w_mat = np.tile(np.eye(n, dtype=np.complex128), (3, 1, 1))
+    z_mat, y = w_mat.copy(), np.zeros(m)
     best_lower, best_upper, best = 0.0, math.inf, None
     history = []
     for it in range(_PD_ITERATIONS):
-        gap = float(np.einsum("ab,ba->", w_mat, z_mat).real)
+        gap = _trace_product(w_mat, z_mat, mask)
         e, u = np.linalg.eigh(np.stack([w_mat, z_mat]))
-        last = it == _PD_ITERATIONS - 1 or e[:, 0].min() <= 0.0
+        last = it == _PD_ITERATIONS - 1 or e[..., 0].min() <= 0.0
         if gap <= _GAP_TOL or last:
-            w_dx = w_mat[r : 2 * r, r : 2 * r]
-            w_p = _kernels.reflect4(keep @ _psd_part(w_mat[2 * r :, 2 * r :]) @ keep.conj().T)
-            z = np.eye(r) + _psd_part(w_mat[:r, :r]) + v.conj().T @ w_p @ v
+            w_dx = w_mat[1, :r, :r]
+            w_p = _kernels.reflect4(keep @ _psd_part(w_mat[2, :q, :q]) @ keep.conj().T)
+            z = np.eye(r) + _psd_part(w_mat[0, :r, :r]) + v.conj().T @ w_p @ v
             z = w_dx + np.einsum("j,jab->ab", np.einsum("jab,ba->j", basis, z - w_dx).real, basis)
             best_upper = min(best_upper, float(np.einsum("a,aa->", d, _psd_part(z)).real))
-            top, top_vecs = np.linalg.eigh(rho - v @ z_mat[:r, :r] @ v.conj().T)
+            top, top_vecs = np.linalg.eigh(rho - v @ z_mat[0, :r, :r] @ v.conj().T)
             lam = 1.0 - float(top[3])
             if lam > best_lower:
                 split = _pure_split(rho, eigs, vecs, float(top[3]), top_vecs[:, 3])
@@ -566,7 +609,7 @@ def _interior_point_split(rho, eigs, vecs, rank, tol):
         if last or best_upper - best_lower <= min(_GAP_TOL, _GAP_RATIO * best_lower):
             break
         try:
-            w_mat, z_mat, y = _hkm_step(w_mat, z_mat, y, e, u, blocks, offset, traces)
+            w_mat, z_mat, y = _hkm_step(w_mat, z_mat, y, gap, e, u, sdp)
         except np.linalg.LinAlgError:
             break
     steps = len(history)

@@ -61,6 +61,8 @@ _AXES = "xyz"
 
 # allowed deviation of mixing weights from summing to one
 _WEIGHT_SUM_TOL = 1e-9
+# allowed deviation from Hermiticity and unit trace when a density matrix is read
+_READ_TOL = 1e-9
 # pure-state vectors and components this small count as zero
 _PHASE_TOL = 1e-12
 
@@ -124,7 +126,7 @@ def to_density_matrix(state: TwoQubitState) -> np.ndarray:
     return 0.25 * np.einsum("ij,ijkl->kl", coeff, TENSOR)
 
 
-def from_density_matrix(m, tol: float = 1e-9) -> TwoQubitState:
+def from_density_matrix(m, tol: float = _READ_TOL) -> TwoQubitState:
     """Read the 15 Pauli parameters off a density matrix.
 
     Parameters
@@ -132,7 +134,8 @@ def from_density_matrix(m, tol: float = 1e-9) -> TwoQubitState:
     m : array_like, shape (4, 4)
         Hermitian unit-trace matrix in the documented basis.
     tol : float
-        Allowed deviation from Hermiticity and unit trace.
+        Allowed deviation from Hermiticity and unit trace (default
+        ``_READ_TOL``).
 
     Returns
     -------

@@ -386,16 +386,23 @@ def test_degree_near_product_kernel_answers(seed):
     _check_decomposition(state, res.decomposition)
 
 
-@pytest.mark.parametrize("eps", [0.0, 1e-3, 3e-3, 1e-2])
+# iterations allowed per near-product solve, 25 unless listed: as eps falls
+# the dual optimum (W's PPT block) grows like 1/eps and the solve slows, and
+# at 1e-7 it may use all but the last of its 60 iterations, so the answer
+# still comes from a closed bracket and not from the iteration cap
+_NEAR_PRODUCT_ITERATIONS = {1e-7: 59, 1e-6: 45}
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 3e-3, 1e-2])
 def test_degree_answers_near_product_kernels_with_a_tight_bracket(eps):
     # the interior-point solve starts infeasible, so a kernel vector close to
     # a product (a thin PPT direction) needs no strictly feasible start point
-    for seed in range(10):
+    for seed in range(40):
         state = _near_product_kernel_state(seed, eps)
         res = degree(state)
         assert res.method == "Optimizer"
         assert 0.0 <= res.family_data["gap"] <= 1e-8
-        assert res.family_data["newton_steps"] <= 25
+        assert res.family_data["newton_steps"] <= _NEAR_PRODUCT_ITERATIONS.get(eps, 25)
         _check_decomposition(state, res.decomposition)
 
 
