@@ -63,8 +63,8 @@ from .invariants import (
     subdeterminant,
     trace_modulus,
 )
+from ._tolerances import DEFAULT_TOL
 from .classify import (
-    DEFAULT_TOL,
     PurityRank,
     Verdict,
     is_entangled,

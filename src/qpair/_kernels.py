@@ -14,12 +14,15 @@ minimum of two of them, so {lam : margin(lam) >= threshold(lam)} with an
 affine threshold is convex.  The solver exploits this: golden-section
 search on the concave margin finds an interior feasible point even when
 the interval degenerates to a single touching point, and bisection then
-pins the upper boundary.  This paragraph describes harness-only code.
+pins the upper boundary.  Feasibility allows ``EIGEN_FLOOR`` of eigenvalue
+noise, as ``degree`` does.  This paragraph describes harness-only code.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from ._tolerances import EIGEN_FLOOR
 
 __all__ = [
     "reflect4",
@@ -28,9 +31,6 @@ __all__ = [
     "max_feasible_lambda",
     "neg_lambda_objective",
 ]
-
-# absolute eigenvalue noise floor, below any meaningful feasibility slack
-_FLOOR = 1e-14
 
 _GOLDEN = 0.6180339887498949
 # left end of _golden_max's interval: its functions divide by the argument
@@ -89,7 +89,7 @@ def lam_margin(rho, rrho, proj, rproj, lam):
 
 def _feasible(rho, rrho, proj, rproj, lam, feas_tol):
     m = lam_margin(rho, rrho, proj, rproj, lam)
-    return m >= -(feas_tol * lam + _FLOOR)
+    return m >= -(feas_tol * lam + EIGEN_FLOOR)
 
 
 def _golden_max(f, steps):
@@ -140,7 +140,7 @@ def _solve_weight(rho, rrho, proj, rproj, feas_tol, lam_tol):
     lo, val = _golden_max(
         lambda lam: lam_margin(rho, rrho, proj, rproj, lam) + feas_tol * lam, 70
     )
-    if val < -_FLOOR:
+    if val < -EIGEN_FLOOR:
         return 0.0, val
     lam = _bisect(
         lambda mid: _feasible(rho, rrho, proj, rproj, mid, feas_tol), lo, 1.0, lam_tol

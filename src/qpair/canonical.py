@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._scipy import minimize
-from .classify import DEFAULT_TOL, purity_rank
+from ._tolerances import CROSS_CHECK_TOL, DEFAULT_TOL, ORDER_SLACK, ROUNDING_TOL
+from .classify import purity_rank
 from .errors import ConvergenceError, NumericalInconsistencyError, PreconditionError
 from .families import Rank2Params, check_rotation, rank2_family_params
 from .invariants import global_invariants, local_invariants
@@ -32,17 +33,9 @@ __all__ = [
 # the exact z-rotation pair (pi, pi) flips the signs of (x1, x2) of a rank-2 frame
 _RZ_PI = np.diag([-1.0, -1.0, 1.0])
 
-# a unit-scale quantity this small is zero up to rounding: the axis of a
-# vector already along +-z, and a sign-fixing x1 or x2 of a rank-2 frame
-_ZERO = 1e-12
 # a projector Pauli vector u or v shorter than this has no direction, and
 # the rank-2 first guess aligns a singular vector of M instead
 _AXIS_MIN = 1e-8
-# rounding by which a recovered gamma2 may exceed gamma1 before it raises
-_ORDER_SLACK = 1e-9
-# largest rank-2 frame residual, and largest gap between the recovered x^2
-# and (A2 - 2)/4, that rank2_canonical accepts
-_CHECK_TOL = 1e-6
 # scipy's from_rotvec takes sin(angle/2)/angle from its series at and below
 # this angle; _rotvec_matrix switches at the same point
 _SERIES_ANGLE = 1e-3
@@ -212,7 +205,7 @@ def _rotation_to_z(w):
     # w x e_z with np.cross's products, so zero components keep their signs
     axis = np.array([y - z * 0.0, z * 0.0 - x, x * 0.0 - y * 0.0])
     norm_axis = float(np.linalg.norm(axis))
-    if norm_axis < _ZERO:
+    if norm_axis < ROUNDING_TOL:
         if w[2] > 0:
             return np.eye(3)
         return np.diag([1.0, -1.0, -1.0])
@@ -321,27 +314,27 @@ def _rank2_frame(state, vecs):
 
     oe, on = frame_of(res.x)
     params, diff = mismatch(oe, on)
-    if params[1] > params[0] + _ORDER_SLACK:
+    if params[1] > params[0] + ORDER_SLACK:
         # the clamp below would relabel such a state silently
         raise NumericalInconsistencyError(
             f"recovered gamma2 = {params[1]:.12g} above gamma1 = {params[0]:.12g}"
         )
-    if params[2] < -_ZERO or (abs(params[2]) <= _ZERO and params[3] < -_ZERO):
+    if params[2] < -ROUNDING_TOL or (abs(params[2]) <= ROUNDING_TOL and params[3] < -ROUNDING_TOL):
         oe, on = _RZ_PI @ oe, on @ _RZ_PI
         params, diff = mismatch(oe, on)
     # a corner's x-rotation turns (x2, x3): fix the representative (0, |(x2, x3)|)
     g1, g2, x1, x2, x3 = params
     h = math.hypot(x2, x3)
-    if (g2 <= _ZERO or g1 >= math.pi / 2 - _ZERO) and h > 0.0:
+    if (g2 <= ROUNDING_TOL or g1 >= math.pi / 2 - ROUNDING_TOL) and h > 0.0:
         rx = np.array([[1.0, 0.0, 0.0], [0.0, x3 / h, -x2 / h], [0.0, x2 / h, x3 / h]])
-        oe, on = (oe, on @ rx.T) if g2 <= _ZERO else (rx @ oe, on)
+        oe, on = (oe, on @ rx.T) if g2 <= ROUNDING_TOL else (rx @ oe, on)
         x2, x3 = 0.0, h
         params, diff = mismatch(oe, on, (g1, g2, x1, x2, x3))
 
     residual = float(np.max(np.abs(diff)))
-    if residual > _CHECK_TOL:
+    if residual > CROSS_CHECK_TOL:
         raise ConvergenceError(
-            f"rank-2 canonicalization residual {residual:.3e} above {_CHECK_TOL:g}",
+            f"rank-2 canonicalization residual {residual:.3e} above {CROSS_CHECK_TOL:g}",
             residual=residual,
         )
 
@@ -351,7 +344,7 @@ def _rank2_frame(state, vecs):
 
     glob = global_invariants(local_invariants(state))
     x_sq_expected = (glob.A2 - 2.0) / 4.0
-    if abs(result.x_sq - x_sq_expected) > _CHECK_TOL:
+    if abs(result.x_sq - x_sq_expected) > CROSS_CHECK_TOL:
         raise NumericalInconsistencyError(
             f"recovered x^2 = {result.x_sq:.12g} but the invariants give "
             f"(A2 - 2)/4 = {x_sq_expected:.12g}"

@@ -14,6 +14,7 @@ from typing import Mapping
 
 import numpy as np
 
+from ._tolerances import DEFAULT_TOL
 from .errors import NumericalInconsistencyError, ValidityError
 from .invariants import (
     GlobalInvariants,
@@ -24,8 +25,6 @@ from .invariants import (
 from .state import TwoQubitState, entanglement_dyadic, reflect, to_density_matrix
 
 __all__ = ["Verdict", "PurityRank", "is_state", "is_entangled", "is_separable", "purity_rank"]
-
-DEFAULT_TOL = 1e-9
 
 # decisions that differ while both offending margins sit this far from the
 # boundary cannot be rounding; something upstream is broken
@@ -81,8 +80,8 @@ def _check_agreement(inv_ok, mat_ok, inv_margins, mat_margin, tol, what):
 
 def _positivity(state, tol):
     """``is_state``'s verdict, local and global invariants, and eigenvalues."""
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     loc = local_invariants(state)
     glob = global_invariants(loc)
     m1, m2, m3 = _quartic_margins(glob)

@@ -18,9 +18,10 @@ import click
 import numpy as np
 
 from . import __version__
+from ._tolerances import DEFAULT_TOL, FAMILY_EDGE
 from .canonical import diagonalize_cross, pure_canonical, rank2_canonical
-from .classify import DEFAULT_TOL, is_entangled, is_separable, is_state, purity_rank
-from .degree import _FAMILY_EDGE, _WERNER_SPREAD, _route, degree, ls_optimize
+from .classify import is_entangled, is_separable, is_state, purity_rank
+from .degree import _route, degree, ls_optimize
 from .errors import QpairError, StateFileError, ValidityError
 from .families import (
     Bell,
@@ -129,9 +130,9 @@ def _family_payload(state, tol, rank):
             return {"name": "chaotic"}
         form = diagonalize_cross(state)
         c = form.c
-        if float(c[0] - c[2]) <= _WERNER_SPREAD and form.sign < 0:
+        if float(c[0] - c[2]) <= FAMILY_EDGE and form.sign < 0:
             x = float(np.mean(c))
-            if x >= 1.0 - _FAMILY_EDGE:
+            if x >= 1.0 - FAMILY_EDGE:
                 return {"name": "bell"}
             return {"name": "werner", "x": x}
         return {

@@ -29,8 +29,11 @@ from . import _kernels
 # perfbench/tracing.py rebinds it to count solver calls, until the benchmark
 # stops reading it.  It is the deferred proxy, so importing degree loads no scipy.
 from ._scipy import minimize  # noqa: F401
+from ._tolerances import (
+    CROSS_CHECK_TOL, DEFAULT_TOL, EIGEN_FLOOR, FAMILY_EDGE, ORDER_SLACK, ROUNDING_TOL,
+)
 from .canonical import _rank2_frame
-from .classify import DEFAULT_TOL, _require_state, is_separable
+from .classify import _require_state, is_separable
 from .errors import ConvergenceError, NumericalInconsistencyError, PreconditionError
 from .families import Chaotic, Rank2Params, RankTwo, construct_family
 from .invariants import trace_modulus
@@ -60,17 +63,10 @@ __all__ = [
 _FEAS_TOL = 1e-10
 # Hermiticity and trace slack when a split's normalized separable part is read back
 _SPLIT_TOL = 1e-7
-# rounding slack of closed-form quantities of order one (range ends, angles, gaps)
-_EXACT_SLACK = 1e-12
 # relative size at which a coefficient of the product-state quadratic counts as zero
 _QUADRATIC_TOL = 1e-13
 # chaos-plus-pure detection: allowed eigenvalue spread and reconstruction error
 _DETECT_TOL = 1e-8
-# x or p this small is chaos or a Bell state rather than a chaos-plus-pure member,
-# and a Werner weight x this close to 1 is the Bell state
-_FAMILY_EDGE = 1e-9
-# spread of the cross-dyadic singular values that still counts as Werner (all equal)
-_WERNER_SPREAD = 1e-9
 # resolution of the Werner-second q0 bisection
 _Q0_RESOLUTION = 1e-10
 # the rank-3/4 interior-point solve stops once its certified bracket is this
@@ -84,10 +80,6 @@ _STEP_FRACTION = 0.98
 # smallest eigenvalue of the PPT block's value at X = 1 that its rescaling
 # undoes; below it (kernel vector within about 3e-2 of a product) the scale is capped
 _PPT_SCALE_FLOOR = 1e-3
-# allowed excess of the split weight over the dual bound (rounding only)
-_BRACKET_SLACK = 1e-9
-# allowed rank-2 closed form vs exact split gap (the split errs by 1e-7 at gamma1 = gamma2)
-_RANK2_CROSS_SLACK = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,7 +139,7 @@ class Rank2Degree:
 
 def degree_werner(x: float) -> float:
     """Closed form for Bell-chaos mixtures: 1 for x <= 1/3, else 3(1-x)/2."""
-    if not -1.0 / 3.0 - _EXACT_SLACK <= x <= 1.0 + _EXACT_SLACK:
+    if not -1.0 / 3.0 - ROUNDING_TOL <= x <= 1.0 + ROUNDING_TOL:
         raise ValueError(f"Werner weight must lie in [-1/3, 1], got {x}")
     if x <= 1.0 / 3.0:
         return 1.0
@@ -204,7 +196,7 @@ def degree_werner_second(x: float, p: float) -> WernerSecondDegree:
     unimodal gap because the feasible interval pinches to a single point
     as x -> 1.
     """
-    if not -1.0 / 3.0 - _EXACT_SLACK <= x <= 1.0 + _EXACT_SLACK:
+    if not -1.0 / 3.0 - ROUNDING_TOL <= x <= 1.0 + ROUNDING_TOL:
         raise ValueError(f"mixing weight must lie in [-1/3, 1], got {x}")
     if not 0.0 < p < 1.0:
         raise ValueError(f"pure-part parameter must lie strictly in (0, 1), got {p}")
@@ -234,12 +226,12 @@ def degree_werner_second(x: float, p: float) -> WernerSecondDegree:
             # interval narrower than the scan: golden-section the minimum
             qm, neg_gm = _kernels._golden_max(lambda q0: -gap(q0), 90)
             gm = -neg_gm
-            if gm > _EXACT_SLACK:
+            if gm > ROUNDING_TOL:
                 raise ConvergenceError(
                     f"no feasible q0 for x = {x}, p = {p} (minimal gap {gm:.3e})",
                     residual=gm,
                 )
-            if gm >= -_EXACT_SLACK:
+            if gm >= -ROUNDING_TOL:
                 # feasible set degenerated to (numerically) one point
                 lo = hi = qm
             else:
@@ -276,7 +268,7 @@ def degree_rank2(params: Rank2Params, tol: float = DEFAULT_TOL) -> Rank2Degree:
 
 def _rank2_closed_form(params):
     """``degree_rank2`` of parameters already known to be entangled."""
-    if math.sin(params.gamma1) * math.cos(params.gamma2) <= _EXACT_SLACK:
+    if math.sin(params.gamma1) * math.cos(params.gamma2) <= ROUNDING_TOL:
         return Rank2Degree(S=1.0, pair_kind=None)
 
     theta = _rank2_theta(params)
@@ -302,11 +294,11 @@ def rank2_separable_pures(gamma1: float, gamma2: float):
     gamma1 > gamma2, one (x = (0, 0, 1)) for equal nonzero angles, and
     None for degenerate subspaces where every member state is separable.
     """
-    if math.sin(gamma1) * math.cos(gamma2) <= _EXACT_SLACK:
+    if math.sin(gamma1) * math.cos(gamma2) <= ROUNDING_TOL:
         return None
     theta = _rank2_theta(Rank2Params(gamma1, gamma2, 0.0, 0.0, 0.0))
     s2t, c2t = math.sin(2.0 * theta), math.cos(2.0 * theta)
-    if s2t <= _EXACT_SLACK:
+    if s2t <= ROUNDING_TOL:
         return (Rank2Params(gamma1, gamma2, 0.0, 0.0, 1.0),)
     return (
         Rank2Params(gamma1, gamma2, s2t, 0.0, c2t),
@@ -370,7 +362,7 @@ def _pure_split(rho, eigs, vecs, w, psi):
     tiny 1 - w breaks the unit trace.  The projection keeps rounding in
     rho's kernel out of sep, where 1 / (1 - w) would amplify it.
     """
-    support = vecs[:, np.abs(eigs) > _kernels._FLOOR]
+    support = vecs[:, np.abs(eigs) > EIGEN_FLOOR]
     proj = support @ support.conj().T
     part = proj @ (rho - w * np.outer(psi, psi.conj())) @ proj
     sep_rho = (part + part.conj().T) / (2.0 * np.trace(part).real)
@@ -531,7 +523,7 @@ def _interior_point_split(rho, eigs, vecs, rank, tol):
     tr(W Z) <= _GAP_TOL every iterate yields
     - a lower bound: with (w, psi) the top eigenpair of rho - sigma,
       ``_pure_split`` gives lambda = 1 - w and a sep that reproduces rho;
-      it counts only if its margins pass;
+      it counts only if its margins pass (at _FEAS_TOL, less EIGEN_FLOOR);
     - an upper bound tr(D psd(Y)), Y = 1 + A + V^dagger R(B) V, with A and
       B = K psd(W_P) K^dagger from the PSD parts of W's X and P blocks.
       Any A, B >= 0 do: a feasible sigma = V X V^dagger has tr(X A) >= 0
@@ -540,7 +532,8 @@ def _interior_point_split(rho, eigs, vecs, rank, tol):
       only Y's face component meets X, so across it Y is W's D - X block.
     Stops once the bracket is at most _GAP_TOL and _GAP_RATIO * S, or
     scores one last iterate when W or Z stops being positive definite or
-    after _PD_ITERATIONS iterations.
+    after _PD_ITERATIONS iterations.  A dual bound more than ORDER_SLACK
+    below the split weight (plus the weight dropped at ``tol``) raises.
     """
     r = rank
     v = vecs[:, 4 - r :]
@@ -603,7 +596,7 @@ def _interior_point_split(rho, eigs, vecs, rank, tol):
             lam = 1.0 - float(top[3])
             if lam > best_lower:
                 split = _pure_split(rho, eigs, vecs, float(top[3]), top_vecs[:, 3])
-                if lam * (min(split.margins.values()) + _FEAS_TOL) + outside + _kernels._FLOOR >= 0:
+                if lam * (min(split.margins.values()) + _FEAS_TOL) + outside + EIGEN_FLOOR >= 0:
                     best_lower, best = lam, split
         history.append((it, best_lower))
         if last or best_upper - best_lower <= min(_GAP_TOL, _GAP_RATIO * best_lower):
@@ -618,7 +611,7 @@ def _interior_point_split(rho, eigs, vecs, rank, tol):
         raise ConvergenceError(
             f"no interior-point iterate gave a feasible split in {steps} iterations"
         )
-    if best_upper < best_lower - _BRACKET_SLACK - outside:
+    if best_upper < best_lower - ORDER_SLACK - outside:
         raise NumericalInconsistencyError(
             f"dual bound {best_upper:.12g} lies below the split weight {best_lower:.12g}"
         )
@@ -681,7 +674,7 @@ def _detect_werner_second(rho, eigs, vecs):
     if eigs[2] - eigs[0] > _DETECT_TOL:
         return None
     x = 1.0 - 4.0 * float(np.mean(eigs[:3]))
-    if not _FAMILY_EDGE < x <= 1.0 + _EXACT_SLACK:
+    if not FAMILY_EDGE < x <= 1.0 + ROUNDING_TOL:
         return None
     psi = vecs[:, 3]
     predicted = x * pure_projector(psi) + (1.0 - x) / 4.0 * np.eye(4)
@@ -689,7 +682,7 @@ def _detect_werner_second(rho, eigs, vecs):
         return None
     pure = from_density_matrix(pure_projector(psi))
     p = float(np.linalg.norm(pure.s))
-    if not _FAMILY_EDGE < p < 1.0 - _EXACT_SLACK:
+    if not FAMILY_EDGE < p < 1.0 - ROUNDING_TOL:
         return None
     return min(1.0, x), p
 
@@ -742,7 +735,7 @@ def degree(state: TwoQubitState, tol: float = DEFAULT_TOL) -> DegreeResult:
     elif method == "ClosedFormRank2":
         rec = _rank2_closed_form(data)
         split = _rank2_split(*spectral).lambda_
-        if abs(rec.S - split) > _RANK2_CROSS_SLACK:
+        if abs(rec.S - split) > CROSS_CHECK_TOL:
             raise NumericalInconsistencyError(
                 f"rank-2 closed form S = {rec.S:.12g} but the exact split gives {split:.12g}"
             )

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._tolerances import DEFAULT_TOL, ROUNDING_TOL
 from .errors import ValidityError
 from .state import TENSOR, TwoQubitState, from_density_matrix, to_density_matrix
 
@@ -31,11 +32,6 @@ __all__ = [
     "check_rotation",
 ]
 
-_EPS = 1e-12
-# rounding by which x1^2 + x2^2 + x3^2 of a Rank2Params may exceed 1
-_X_SQ_SLACK = 1e-9
-# most negative eigenvalue a constructed WernerFirst state may have
-_EIG_SLACK = 1e-9
 # allowed deviation of a rotation matrix from orthogonality and unit determinant
 _ROTATION_TOL = 1e-10
 
@@ -46,7 +42,7 @@ def check_rotation(o, name: str = "rotation") -> np.ndarray:
     if o.shape != (3, 3):
         raise ValueError(f"{name} must be 3x3, got {o.shape}")
     residual = np.max(np.abs(o.T @ o - np.eye(3)))
-    if residual > _ROTATION_TOL:
+    if not residual <= _ROTATION_TOL:  # a NaN residual fails too
         raise ValueError(
             f"{name} is not orthogonal: max |O^T O - 1| = {residual:.3e} > {_ROTATION_TOL:.1e}"
         )
@@ -88,7 +84,7 @@ class GenericPure:
     p: float
 
     def __post_init__(self):
-        if not -_EPS <= self.p <= 1.0 + _EPS:
+        if not -ROUNDING_TOL <= self.p <= 1.0 + ROUNDING_TOL:
             raise ValueError(f"p must lie in [0, 1], got {self.p}")
 
     @property
@@ -108,7 +104,7 @@ class Werner:
     o_en: np.ndarray = field(default_factory=_identity3)
 
     def __post_init__(self):
-        if not -1.0 / 3.0 - _EPS <= self.x <= 1.0 + _EPS:
+        if not -1.0 / 3.0 - ROUNDING_TOL <= self.x <= 1.0 + ROUNDING_TOL:
             raise ValueError(f"x must lie in [-1/3, 1], got {self.x}")
         object.__setattr__(self, "o_en", check_rotation(self.o_en, "o_en"))
 
@@ -130,7 +126,7 @@ class WernerFirst:
     def __post_init__(self):
         if self.sign not in (-1, 1):
             raise ValueError(f"sign must be +1 or -1, got {self.sign}")
-        if not self.c1 + _EPS >= self.c2 >= self.c3 - _EPS or self.c3 < -_EPS:
+        if not self.c1 + ROUNDING_TOL >= self.c2 >= self.c3 - ROUNDING_TOL or self.c3 < -ROUNDING_TOL:
             raise ValueError(
                 f"characteristic values must satisfy c1 >= c2 >= c3 >= 0, "
                 f"got ({self.c1}, {self.c2}, {self.c3})"
@@ -150,7 +146,7 @@ class WernerSecond:
     p: float
 
     def __post_init__(self):
-        if not -1.0 / 3.0 - _EPS <= self.x <= 1.0 + _EPS:
+        if not -1.0 / 3.0 - ROUNDING_TOL <= self.x <= 1.0 + ROUNDING_TOL:
             raise ValueError(f"x must lie in [-1/3, 1], got {self.x}")
         if not 0.0 < self.p < 1.0:
             raise ValueError(f"p must lie strictly in (0, 1), got {self.p}")
@@ -176,12 +172,12 @@ class Rank2Params:
     x3: float
 
     def __post_init__(self):
-        if not math.pi / 2 + _EPS >= self.gamma1 >= self.gamma2 >= -_EPS:
+        if not math.pi / 2 + ROUNDING_TOL >= self.gamma1 >= self.gamma2 >= -ROUNDING_TOL:
             raise ValueError(
                 f"angles must satisfy pi/2 >= gamma1 >= gamma2 >= 0, "
                 f"got ({self.gamma1}, {self.gamma2})"
             )
-        if self.x_sq > 1.0 + _X_SQ_SLACK:
+        if self.x_sq > 1.0 + DEFAULT_TOL:
             raise ValueError(f"x1^2 + x2^2 + x3^2 = {self.x_sq:.17g} exceeds 1")
 
     @property
@@ -208,7 +204,7 @@ def sigma_basis(gamma1: float, gamma2: float) -> np.ndarray:
     (traceless), satisfying Sigma_0 Sigma_k = Sigma_k and
     Sigma_j Sigma_k = delta_jk Sigma_0 + i sum_l eps_jkl Sigma_l.
     """
-    if not math.pi / 2 + _EPS >= gamma1 >= gamma2 >= -_EPS:
+    if not math.pi / 2 + ROUNDING_TOL >= gamma1 >= gamma2 >= -ROUNDING_TOL:
         raise ValueError(
             f"angles must satisfy pi/2 >= gamma1 >= gamma2 >= 0, "
             f"got ({gamma1}, {gamma2})"
@@ -283,7 +279,7 @@ def construct_family(spec) -> TwoQubitState:
         state = TwoQubitState(s=np.zeros(3), t=np.zeros(3), C=c)
         # Positivity is not automatic for arbitrary characteristic values.
         eig_min = np.linalg.eigvalsh(to_density_matrix(state))[0]
-        if eig_min < -_EIG_SLACK:
+        if eig_min < -DEFAULT_TOL:
             raise ValidityError(
                 f"characteristic values ({spec.c1}, {spec.c2}, {spec.c3}) with "
                 f"sign {spec.sign:+.0f} give minimum eigenvalue {eig_min:.6g} < 0",

@@ -14,14 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._tolerances import CROSS_CHECK_TOL, ROUNDING_TOL
 from .errors import NumericalInconsistencyError
 from .quartic import real_quartic_roots
 from .state import TwoQubitState, entanglement_dyadic, to_density_matrix
 
-# largest gap allowed between the quartic spectrum and the direct eigensolve
-_CROSS_CHECK_TOL = 1e-6
-# relative gap allowed between det E from the invariants and det(C - s t^T)
-_DET_E_TOL = 1e-12
 # relative gap allowed in trace_modulus between the zeta cubic's coefficients two ways
 _CUBIC_CHECK_TOL = 1e-10
 
@@ -133,7 +130,7 @@ def _det_entanglement(state, loc):
     """``det_entanglement`` from the state's already computed local invariants."""
     value = loc.a3_1 - loc.a4_2
     direct = float(np.linalg.det(entanglement_dyadic(state)))
-    tol = _DET_E_TOL * max(1.0, abs(loc.a3_1) + abs(loc.a4_2))
+    tol = ROUNDING_TOL * max(1.0, abs(loc.a3_1) + abs(loc.a4_2))
     if abs(value - direct) > tol:
         raise NumericalInconsistencyError(
             f"det E mismatch: invariant form {value!r} vs direct determinant "
@@ -201,7 +198,7 @@ def spectrum(state: TwoQubitState) -> SpectrumResult:
     Solves kappa^4 - A2 kappa^2 + A1 kappa - A0 = 0 and maps each root to
     the eigenvalue (1 - kappa)/4.  A direct Hermitian eigensolve of the
     4x4 matrix runs alongside; the two spectra must agree to
-    ``_CROSS_CHECK_TOL`` but neither result is adjusted toward the other.
+    ``CROSS_CHECK_TOL`` but neither result is adjusted toward the other.
     """
     return _spectrum(state, global_invariants(local_invariants(state)))
 
@@ -213,7 +210,7 @@ def _spectrum(state, glob):
 
     direct = np.linalg.eigvalsh(to_density_matrix(state))
     gap = float(np.max(np.abs(np.sort(eigenvalues) - direct)))
-    if gap > _CROSS_CHECK_TOL:
+    if gap > CROSS_CHECK_TOL:
         raise NumericalInconsistencyError(
             f"quartic spectrum and direct eigensolve disagree by {gap:.3e}"
         )

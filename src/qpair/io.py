@@ -73,13 +73,10 @@ def _real_array(node, shape, location):
     if len(shape) == 1:
         _require(len(node) == shape[0], f"expected {shape[0]} entries", location)
         for j, x in enumerate(node):
-            _require(
-                isinstance(x, (int, float)) and not isinstance(x, bool),
-                "expected a number",
-                f"{location}[{j}]",
-            )
+            # parse_state reads every JSON number as a float, and true/false as bool
+            _require(isinstance(x, float), "expected a number", f"{location}[{j}]")
             _require(math.isfinite(x), "non-finite number", f"{location}[{j}]")
-            arr.append(float(x))
+            arr.append(x)
         return np.array(arr)
     _require(len(node) == shape[0], f"expected {shape[0]} rows", location)
     return np.array(
@@ -103,11 +100,14 @@ def parse_state(text) -> TwoQubitState:
         except UnicodeDecodeError as exc:
             raise StateFileError(f"not valid UTF-8: {exc}", location="$") from None
     try:
-        doc = json.loads(text)
+        # an integer reads as float(int) would (+0.0 for -0), but one too big for a float as inf
+        doc = json.loads(text, parse_int=lambda digits: float(digits) + 0.0)
     except json.JSONDecodeError as exc:
         raise StateFileError(
             f"malformed JSON: {exc.msg}", location=f"line {exc.lineno} column {exc.colno}"
         ) from None
+    except RecursionError:
+        raise StateFileError("JSON nested too deeply", location="$") from None
     _require(isinstance(doc, dict), "top level must be an object", "$")
     tag = doc.get("format")
     _require("format" in doc, "missing format tag", "$.format")

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._tolerances import DEFAULT_TOL, ROUNDING_TOL
 from .errors import RepresentationError
 
 __all__ = [
@@ -58,13 +59,6 @@ for _i in range(4):
 del _i, _j
 
 _AXES = "xyz"
-
-# allowed deviation of mixing weights from summing to one
-_WEIGHT_SUM_TOL = 1e-9
-# allowed deviation from Hermiticity and unit trace when a density matrix is read
-_READ_TOL = 1e-9
-# pure-state vectors and components this small count as zero
-_PHASE_TOL = 1e-12
 
 
 def _frozen_array(value, shape, name):
@@ -126,7 +120,7 @@ def to_density_matrix(state: TwoQubitState) -> np.ndarray:
     return 0.25 * np.einsum("ij,ijkl->kl", coeff, TENSOR)
 
 
-def from_density_matrix(m, tol: float = _READ_TOL) -> TwoQubitState:
+def from_density_matrix(m, tol: float = DEFAULT_TOL) -> TwoQubitState:
     """Read the 15 Pauli parameters off a density matrix.
 
     Parameters
@@ -134,8 +128,7 @@ def from_density_matrix(m, tol: float = _READ_TOL) -> TwoQubitState:
     m : array_like, shape (4, 4)
         Hermitian unit-trace matrix in the documented basis.
     tol : float
-        Allowed deviation from Hermiticity and unit trace (default
-        ``_READ_TOL``).
+        Allowed deviation from Hermiticity and unit trace (default ``DEFAULT_TOL``).
 
     Returns
     -------
@@ -146,6 +139,8 @@ def from_density_matrix(m, tol: float = _READ_TOL) -> TwoQubitState:
     RepresentationError
         If ``m`` is not Hermitian or not unit-trace within ``tol``.
     """
+    if not 0.0 <= tol < np.inf:
+        raise ValueError(f"tol must be nonnegative and finite, got {tol}")
     m = np.asarray(m, dtype=np.complex128)
     if m.shape != (4, 4):
         raise RepresentationError(f"density matrix must be 4x4, got {m.shape}")
@@ -202,7 +197,7 @@ def mix(states, weights) -> TwoQubitState:
     ----------
     states : sequence of TwoQubitState
     weights : sequence of float
-        Nonnegative, summing to 1 within ``_WEIGHT_SUM_TOL``.
+        Nonnegative, summing to 1 within ``DEFAULT_TOL``.
     """
     states = list(states)
     weights = np.asarray(weights, dtype=np.float64)
@@ -215,8 +210,8 @@ def mix(states, weights) -> TwoQubitState:
     if np.any(weights < 0):
         raise ValueError(f"negative mixing weight: {weights.min():.3e}")
     total = weights.sum()
-    if abs(total - 1.0) > _WEIGHT_SUM_TOL:
-        raise ValueError(f"weights sum to {total:.17g}, expected 1 within {_WEIGHT_SUM_TOL:.1e}")
+    if abs(total - 1.0) > DEFAULT_TOL:
+        raise ValueError(f"weights sum to {total:.17g}, expected 1 within {DEFAULT_TOL:.1e}")
     s = sum(w * st.s for w, st in zip(weights, states))
     t = sum(w * st.t for w, st in zip(weights, states))
     c = sum(w * st.C for w, st in zip(weights, states))
@@ -244,15 +239,15 @@ def fix_global_phase(psi) -> np.ndarray:
     """Normalize a pure-state 4-vector and fix its global phase.
 
     The phase is chosen so the first component of magnitude above
-    ``_PHASE_TOL`` is real and positive.
+    ``ROUNDING_TOL`` is real and positive.
     """
     psi = np.asarray(psi, dtype=np.complex128).reshape(4)
     norm = np.linalg.norm(psi)
-    if norm < _PHASE_TOL:
+    if norm < ROUNDING_TOL:
         raise RepresentationError(f"pure-state vector has norm {norm:.3e}")
     psi = psi / norm
     for comp in psi:
-        if abs(comp) > _PHASE_TOL:
+        if abs(comp) > ROUNDING_TOL:
             psi = psi * (comp.conjugate() / abs(comp))
             break
     return psi

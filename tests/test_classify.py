@@ -16,6 +16,7 @@ from qpair import (
     TwoQubitState,
     Werner,
     construct_family,
+    from_density_matrix,
     is_entangled,
     is_separable,
     is_state,
@@ -59,6 +60,22 @@ def test_invalid_state_margins_frozen():
 def test_is_state_rejects_nonpositive_tol():
     with pytest.raises(ValueError, match="tol"):
         is_state(random_state(0), tol=0.0)
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf")])
+def test_every_decision_rejects_a_non_finite_tol(tol):
+    # nan fails every comparison, so an unchecked nan reads a valid state as invalid
+    # and a non-Hermitian matrix as a state, and an unchecked inf accepts any state
+    invalid = TwoQubitState(s=np.zeros(3), t=np.zeros(3), C=np.diag([0.8, 0.5, 0.2]))
+    for decide in (is_state, is_separable, purity_rank):
+        for state in (random_state(0), invalid):
+            with pytest.raises(ValueError, match="positive and finite"):
+                decide(state, tol=tol)
+    non_hermitian = np.eye(4) / 4.0
+    non_hermitian[0, 1] = 0.3
+    for m in (to_density_matrix(random_state(0)), non_hermitian):
+        with pytest.raises(ValueError, match="nonnegative and finite"):
+            from_density_matrix(m, tol=tol)
 
 
 def test_routes_agree_on_random_and_overscaled_states(rng):
@@ -181,3 +198,26 @@ def test_separability_margins_match_reflected_validity():
     assert verdict.margins["reflected_quartic_slope"] == pytest.approx(
         4.0 - (2.0 * glob.A2 - glob.A1), abs=1e-12
     )
+
+
+def test_every_public_tol_defaults_to_default_tol():
+    import inspect
+
+    import qpair
+    from qpair.cli import main
+
+    defaults = {}
+    for name in qpair.__all__:
+        obj = getattr(qpair, name)
+        if inspect.isfunction(obj) and "tol" in inspect.signature(obj).parameters:
+            defaults[name] = inspect.signature(obj).parameters["tol"].default
+    for name, command in main.commands.items():
+        for param in command.params:
+            if param.name == "tol":
+                defaults[f"cli {name} --tol"] = param.default
+    assert {
+        "from_density_matrix", "is_state", "is_entangled", "is_separable", "purity_rank",
+        "pure_canonical", "rank2_canonical", "degree_werner_first", "degree_rank2",
+        "ls_optimize", "degree", "cli check --tol", "cli degree --tol",
+    } <= set(defaults)
+    assert {name: default for name, default in defaults.items() if default != qpair.DEFAULT_TOL} == {}

@@ -433,6 +433,19 @@ def test_malformed_input_exits_one_with_location():
     assert "line 1" in error["location"]
 
 
+@pytest.mark.parametrize("digits", [401, 5001])
+def test_huge_integer_exits_one_with_location(digits):
+    # too large for a float (401 digits) or past Python's int/str digit limit
+    # (5001): either must give the error JSON, not a traceback with empty stdout
+    doc = _statefile(construct_family(Werner(0.5))).replace('"s":[0.0', '"s":[' + "1" * digits, 1)
+    result = _invoke(["check", "-"], stdin=doc)
+    assert result.exit_code == 1
+    error = _error(result)
+    assert error["type"] == "StateFileError"
+    assert error["location"] == "$.s[0]"
+    assert "non-finite" in error["message"]
+
+
 def test_missing_input_file_exits_one(tmp_path):
     result = _invoke(["check", str(tmp_path / "absent.json")])
     assert result.exit_code == 1

@@ -199,6 +199,8 @@ def test_check_rotation():
         check_rotation(np.eye(2))
     with pytest.raises(ValueError, match="orthogonal"):
         check_rotation(np.eye(3) + 0.01)
+    with pytest.raises(ValueError, match="orthogonal"):
+        check_rotation(np.full((3, 3), np.nan))
     with pytest.raises(ValueError, match="determinant"):
         check_rotation(np.diag([1.0, 1.0, -1.0]))
 

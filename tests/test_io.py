@@ -188,3 +188,38 @@ def test_state_payload_plain_python():
     payload = state_payload(random_state(5))
     assert isinstance(payload["s"][0], float)
     assert isinstance(payload["C"][2][1], float)
+
+
+def _doc_with_first_s(literal):
+    """A valid StateFile whose s[0] is the given JSON number literal."""
+    return _doc(s=[12345.0, 0.0, 0.0]).replace("12345.0", literal, 1)
+
+
+def test_parse_error_integer_too_large_for_a_float():
+    # float(10**401) overflows: the entry is non-finite, at its own location
+    loc, msg = _location_of(_doc_with_first_s("1" * 401))
+    assert loc == "$.s[0]"
+    assert "non-finite" in msg
+
+
+def test_parse_error_integer_beyond_the_digit_limit():
+    # 5001 digits exceed Python's int/str conversion limit (4300 digits), which
+    # json.loads enforces on an integer it converts to int
+    loc, msg = _location_of(_doc_with_first_s("1" * 5001))
+    assert loc == "$.s[0]"
+    assert "non-finite" in msg
+
+
+def test_parse_reads_integers_as_their_nearest_float():
+    big = 2**63 + 12345
+    text = _doc(s=[12345.0, 0.0, 0.0], t=[54321.0, 0.0, 0.0])
+    state = parse_state(text.replace("12345.0", str(big)).replace("54321.0", "-0"))
+    assert state.s[0] == float(big)
+    # -0 is the integer zero, so it reads as +0.0, as float(int) gives
+    assert state.t[0] == 0.0 and np.copysign(1.0, state.t[0]) == 1.0
+
+
+def test_parse_error_nesting_too_deep():
+    loc, msg = _location_of("[" * 100_000)
+    assert loc == "$"
+    assert "nested too deeply" in msg

@@ -93,6 +93,20 @@ def test_random_real_rooted_quartics(root_list):
     assert np.allclose(roots, target, atol=tol)
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="known defect: in a four-root cluster about 4e-3 wide, a critical value "
+    "under the 64-unit noise floor merges two roots into a double root",
+)
+def test_four_root_cluster_under_the_noise_floor():
+    # a draw on which test_random_real_rooted_quartics failed: the middle critical
+    # value is 40.7 noise units, two roots merge, and the error is 5.2e-4 where the
+    # property test allows 5e-5 times the scale, 7.8e-5
+    target = np.array([1.56640625, 1.5654371562062206, 1.564453125, 1.5625])
+    roots = real_quartic_roots(*_coeffs_from_roots(target))
+    assert np.allclose(roots, target, atol=5e-5 * float(np.max(np.abs(target))))
+
+
 def test_sum_and_product_consistency(rng):
     for _ in range(50):
         a3, a2, a1, a0 = rng.uniform(-2, 2, 4)
