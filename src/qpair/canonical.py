@@ -14,11 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._scipy import minimize
+from ._neldermead import minimize
 from ._tolerances import CROSS_CHECK_TOL, DEFAULT_TOL, ORDER_SLACK, ROUNDING_TOL
 from .classify import purity_rank
 from .errors import ConvergenceError, NumericalInconsistencyError, PreconditionError
-from .families import Rank2Params, check_rotation, rank2_family_params
+from .families import Rank2Params, check_rotation, rank2_family_vector
 from .invariants import global_invariants, local_invariants
 from .state import TENSOR, TwoQubitState, to_density_matrix
 
@@ -36,8 +36,9 @@ _RZ_PI = np.diag([-1.0, -1.0, 1.0])
 # a projector Pauli vector u or v shorter than this has no direction, and
 # the rank-2 first guess aligns a singular vector of M instead
 _AXIS_MIN = 1e-8
-# scipy's from_rotvec takes sin(angle/2)/angle from its series at and below
-# this angle; _rotvec_matrix switches at the same point
+# scipy's from_rotvec and as_rotvec take sin(angle/2)/angle and its inverse
+# from their series at and below this angle; _rotvec_matrix and
+# _matrix_rotvec switch at the same point
 _SERIES_ANGLE = 1e-3
 # Nelder-Mead stopping tolerances of the rank-2 frame polish, on the six
 # rotation-vector coordinates and on the squared residual
@@ -142,25 +143,26 @@ def _rank2_extract(pu, pv, pm, s, t, c):
     The support projector fixes the angles: its Pauli coefficients are
     u = (0, 0, 2 cos g1 cos g2), v = (0, 0, 2 sin g1 sin g2),
     M = 2 diag(sin g1 cos g2, cos g1 sin g2, 0).  The x are then linear
-    least squares over the state entries they multiply.
+    least squares over the state entries they multiply.  Vectors and
+    matrices come as (nested) lists of floats.
     """
     a = 0.5 * pu[2]
     b = 0.5 * pv[2]
-    cc = 0.5 * pm[0, 0]
-    d = 0.5 * pm[1, 1]
+    cc = 0.5 * pm[0][0]
+    d = 0.5 * pm[1][1]
     g1 = math.atan2(math.hypot(cc, b), math.hypot(a, d))
     g2 = math.atan2(math.hypot(d, b), math.hypot(a, cc))
     s1, c1 = math.sin(g1), math.cos(g1)
     s2, c2 = math.sin(g2), math.cos(g2)
-    x3 = 0.5 * float(
+    x3 = 0.5 * (
         b * (s[2] - a)
         + a * (t[2] - b)
-        + d * (cc - c[0, 0])
-        + cc * (d - c[1, 1])
-        + c[2, 2]
+        + d * (cc - c[0][0])
+        + cc * (d - c[1][1])
+        + c[2][2]
     )
-    x1 = 0.5 * float(s[0] * s1 + t[0] * c2 + c[0, 2] * s2 + c[2, 0] * c1)
-    x2 = 0.5 * float(s[1] * s2 + t[1] * c1 + c[1, 2] * s1 + c[2, 1] * c2)
+    x1 = 0.5 * (s[0] * s1 + t[0] * c2 + c[0][2] * s2 + c[2][0] * c1)
+    x2 = 0.5 * (s[1] * s2 + t[1] * c1 + c[1][2] * s1 + c[2][1] * c2)
     return g1, g2, x1, x2, x3
 
 
@@ -173,7 +175,7 @@ def _rotvec_matrix(v):
     at angles up to ``_SERIES_ANGLE``, the quaternion (scale v,
     cos(angle/2)), and the quaternion's nine matrix entries.
     """
-    x, y, z = v.tolist()
+    x, y, z = map(float, v)
     angle = math.sqrt(x * x + y * y + z * z)
     if angle <= _SERIES_ANGLE:
         angle2 = angle * angle
@@ -213,6 +215,48 @@ def _rotation_to_z(w):
     return _rotvec_matrix(axis / norm_axis * angle)
 
 
+def _matrix_rotvec(m):
+    """Rotation vector of the rotation matrix m.
+
+    The same floating-point steps as scipy's
+    ``Rotation.from_matrix(m).as_rotvec()``, in the same order, so the two
+    agree bit for bit: the quaternion from the largest of (m00, m11, m22,
+    trace) (the first one on ties), normalised; its sign flipped to w > 0
+    (at w = 0 to a positive first nonzero component); the angle
+    2 atan2(|xyz|, w); and scipy's series for angle/sin(angle/2) at angles
+    up to ``_SERIES_ANGLE``.  scipy would first orthogonalise a matrix that
+    fails its orthogonality test (m m^T within 1e-12 of the identity,
+    numpy's ``isclose`` with its default relative 1e-5), or reject one
+    with det m <= 0; this raises for either instead.
+    """
+    m = np.asarray(m, dtype=np.float64)
+    if not (np.linalg.det(m) > 0 and np.allclose(m @ m.T, np.eye(3), atol=1e-12)):
+        raise NumericalInconsistencyError(f"not a proper rotation matrix: {m.tolist()}")
+    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = m.tolist()
+    trace = m00 + m11 + m22
+    decision = [m00, m11, m22, trace]
+    choice = decision.index(max(decision))
+    if choice == 0:
+        q = [1 - trace + 2 * m00, m10 + m01, m20 + m02, m21 - m12]
+    elif choice == 1:
+        q = [m01 + m10, 1 - trace + 2 * m11, m21 + m12, m02 - m20]
+    elif choice == 2:
+        q = [m02 + m20, m12 + m21, 1 - trace + 2 * m22, m10 - m01]
+    else:
+        q = [m21 - m12, m02 - m20, m10 - m01, 1 + trace]
+    norm = math.sqrt(q[0] * q[0] + q[1] * q[1] + q[2] * q[2] + q[3] * q[3])
+    x, y, z, w = (c / norm for c in q)
+    if w < 0 or (w == 0 and (x < 0 or (x == 0 and (y < 0 or (y == 0 and z < 0))))):
+        x, y, z, w = -x, -y, -z, -w
+    angle = 2 * math.atan2(math.sqrt(x * x + y * y + z * z), w)
+    if angle <= _SERIES_ANGLE:
+        angle2 = angle * angle
+        scale = 2 + angle2 / 12 + 7 * angle2 * angle2 / 2880
+    else:
+        scale = angle / math.sin(angle / 2)
+    return scale * x, scale * y, scale * z
+
+
 def _embed_z(r2):
     out = np.eye(3)
     out[:2, :2] = r2
@@ -247,9 +291,10 @@ def rank2_canonical(state: TwoQubitState, tol: float = DEFAULT_TOL) -> Rank2Para
     the per-frame parameters are not free but extracted from the support
     projector and linear least squares, so the search only has to find the
     frame.  An analytic alignment already solves the input up to rounding;
-    one Nelder-Mead run from it polishes the frame.  Each rotation vector
-    becomes a matrix through ``_rotvec_matrix``, which gives scipy's
-    ``Rotation`` matrices bit for bit at a fraction of the cost.
+    one Nelder-Mead run from it polishes the frame.  The search and the
+    rotation-vector conversions are qpair's own kernels, which repeat
+    scipy's floating-point steps, so the answers are those scipy's
+    ``minimize`` and ``Rotation`` would give, bit for bit, without scipy.
 
     The analytic frame's in-plane SVD already orders g1 >= g2, and an
     unordered result raises; the (pi, pi) pair then makes x1 > 0 (x2 >= 0
@@ -266,50 +311,42 @@ def _rank2_frame(state, vecs):
     """``rank2_canonical``'s (params, o_ee, o_nn) of a valid rank-2 state from its
     ``eigh`` vectors; applying (o_ee, o_nn) to the state gives the family state.
 
-    Nelder-Mead polishes the analytic frame over two rotation vectors, each
-    turned into a matrix by ``_rotvec_matrix``; scipy's ``Rotation`` only
-    converts the analytic start frame to rotation vectors.
+    Nelder-Mead (``_neldermead``) polishes the analytic frame over two
+    rotation vectors: ``_matrix_rotvec`` turns the start frame into them and
+    ``_rotvec_matrix`` turns each vertex back into matrices.  Each
+    evaluation rotates the stacked pairs (s, u), (t, v) and (C, M) in one
+    product apiece.
     """
-    from scipy.spatial.transform import Rotation
-
-    s0, t0, c0 = state.s, state.t, state.C
     support = vecs[:, 2:] @ vecs[:, 2:].conj().T
     pu0, pv0, pm0 = _projector_coefficients(support)
+    sv0 = np.stack([state.s, pu0])[:, :, None]
+    tv0 = np.stack([state.t, pv0])[:, :, None]
+    cm0 = np.stack([state.C, pm0])
 
     def frame_of(theta):
         return _rotvec_matrix(theta[:3]), _rotvec_matrix(theta[3:])
 
     def mismatch(oe, on, params=None):
-        s = oe @ s0
-        t = on.T @ t0
-        c = oe @ c0 @ on
+        s, pu = (oe @ sv0)[:, :, 0].tolist()
+        t, pv = (on.T @ tv0)[:, :, 0].tolist()
+        c, pm = (oe @ cm0 @ on).tolist()
         if params is None:
-            params = _rank2_extract(oe @ pu0, on.T @ pv0, oe @ pm0 @ on, s, t, c)
-        sp, tp, cp = rank2_family_params(*params)
-        diff = np.concatenate([s - sp, t - tp, (c - cp).ravel()])
-        return params, diff
+            params = _rank2_extract(pu, pv, pm, s, t, c)
+        got = s + t + c[0] + c[1] + c[2]
+        return params, np.array([a - b for a, b in zip(got, rank2_family_vector(*params))])
 
     def objective(theta):
         _, diff = mismatch(*frame_of(theta))
         return float(diff @ diff)
 
     oe_init, on_init = _initial_frame(pu0, pv0, pm0)
-    theta0 = np.concatenate(
-        [
-            Rotation.from_matrix(oe_init).as_rotvec(),
-            Rotation.from_matrix(on_init).as_rotvec(),
-        ]
-    )
     res = minimize(
         objective,
-        theta0,
-        method="Nelder-Mead",
-        options={
-            "maxiter": 2000,
-            "maxfev": 3000,
-            "xatol": _POLISH_XATOL,
-            "fatol": _POLISH_FATOL,
-        },
+        _matrix_rotvec(oe_init) + _matrix_rotvec(on_init),
+        maxiter=2000,
+        maxfev=3000,
+        xatol=_POLISH_XATOL,
+        fatol=_POLISH_FATOL,
     )
 
     oe, on = frame_of(res.x)

@@ -29,6 +29,9 @@ __all__ = ["Verdict", "PurityRank", "is_state", "is_entangled", "is_separable", 
 # decisions that differ while both offending margins sit this far from the
 # boundary cannot be rounding; something upstream is broken
 _CLEAR_BAND_FACTOR = 1000.0
+# eigenvalue perturbations of size tol move the quartic slacks by a bounded
+# factor; purity_rank's cross-check encloses them in this many tol
+_PURITY_BAND_FACTOR = 100.0
 
 
 @dataclass(frozen=True)
@@ -184,9 +187,7 @@ def purity_rank(state: TwoQubitState, tol: float = DEFAULT_TOL) -> PurityRank:
     pure = rank == 1
 
     m1, m2, m3 = _quartic_margins(glob)
-    # eigenvalue perturbations of size tol move the quartic slacks by a
-    # bounded factor; 100 tol is a generous enclosure for the cross-check
-    band = 100.0 * tol
+    band = _PURITY_BAND_FACTOR * tol
     if pure and max(abs(m1), abs(m2), abs(m3)) > band:
         raise NumericalInconsistencyError(
             f"rank 1 by eigensolve but pure-state equalities are off by "

@@ -25,10 +25,10 @@ from typing import Mapping, Optional
 import numpy as np
 
 from . import _kernels
-# Nothing in the package calls minimize: the name stays only because
+# Nothing in degree calls minimize: the name stays only because
 # perfbench/tracing.py rebinds it to count solver calls, until the benchmark
-# stops reading it.  It is the deferred proxy, so importing degree loads no scipy.
-from ._scipy import minimize  # noqa: F401
+# stops reading it.
+from ._neldermead import minimize  # noqa: F401
 from ._tolerances import (
     CROSS_CHECK_TOL, DEFAULT_TOL, EIGEN_FLOOR, FAMILY_EDGE, ORDER_SLACK, ROUNDING_TOL,
 )

@@ -235,8 +235,8 @@ def sigma_basis(gamma1: float, gamma2: float) -> np.ndarray:
     return out
 
 
-def rank2_family_params(gamma1, gamma2, x1, x2, x3):
-    """Direct (s, t, C) of the rank-2 generic form, bypassing matrices.
+def rank2_family_vector(gamma1, gamma2, x1, x2, x3):
+    """(s, t, C) of the rank-2 generic form as 15 floats, C row by row.
 
     Algebraically identical to expanding (Sigma_0 + x . Sigma) / 2 in the
     Pauli basis; kept as a separate closed form because the canonicalization
@@ -246,16 +246,19 @@ def rank2_family_params(gamma1, gamma2, x1, x2, x3):
     s2, c2 = math.sin(gamma2), math.cos(gamma2)
     a, b = c1 * c2, s1 * s2
     cc, d = s1 * c2, c1 * s2
-    s = np.array([x1 * s1, x2 * s2, a + x3 * b])
-    t = np.array([x1 * c2, x2 * c1, b + x3 * a])
-    cmat = np.array(
-        [
-            [cc - x3 * d, 0.0, x1 * s2],
-            [0.0, d - x3 * cc, x2 * s1],
-            [x1 * c1, x2 * c2, x3],
-        ]
-    )
-    return s, t, cmat
+    return [
+        x1 * s1, x2 * s2, a + x3 * b,
+        x1 * c2, x2 * c1, b + x3 * a,
+        cc - x3 * d, 0.0, x1 * s2,
+        0.0, d - x3 * cc, x2 * s1,
+        x1 * c1, x2 * c2, x3,
+    ]
+
+
+def rank2_family_params(gamma1, gamma2, x1, x2, x3):
+    """Direct (s, t, C) arrays of the rank-2 generic form, bypassing matrices."""
+    v = rank2_family_vector(gamma1, gamma2, x1, x2, x3)
+    return np.array(v[:3]), np.array(v[3:6]), np.array([v[6:9], v[9:12], v[12:]])
 
 
 def construct_family(spec) -> TwoQubitState:

@@ -27,6 +27,7 @@ from qpair import (
 )
 from qpair.canonical import (
     CanonicalForm,
+    _matrix_rotvec,
     _rank2_frame,
     _rotvec_matrix,
     apply_local,
@@ -304,9 +305,63 @@ def test_rotvec_matrix_matches_scipy_bit_for_bit(rng):
         assert _rotvec_matrix(v).tobytes() == want.tobytes(), v
 
 
+def test_matrix_rotvec_matches_scipy_bit_for_bit(rng):
+    # the port repeats scipy's from_matrix + as_rotvec steps, so the vectors
+    # must agree byte for byte: on random rotations, which reach all four
+    # choices of the quaternion's leading component, at angles up to and past
+    # the series switch at 1e-3, near pi and at exact half turns (w = 0), and
+    # on quaternions that scipy flips to w >= 0
+    from scipy.spatial.transform import Rotation
+
+    switch = 1e-3
+    angles = [
+        0.0,
+        1e-9,
+        1e-4,
+        np.nextafter(switch, 0.0),
+        switch,
+        np.nextafter(switch, 1.0),
+        2e-3,
+        1.0,
+        math.pi - 1e-6,
+        np.nextafter(math.pi, 0.0),
+        math.pi,
+    ]
+    axes = np.concatenate([np.eye(3), -np.eye(3), rng.normal(size=(30, 3))])
+    axes /= np.linalg.norm(axes, axis=1)[:, None]
+    matrices = [random_rotation(rng) for _ in range(2000)]
+    matrices += [_rotvec_matrix(axis * angle) for axis in axes for angle in angles]
+    for n in ([1, 0, 0], [0, -1, 0], [-1, 2, 0], [1, -2, 0], [0, -1, 3], [1, 1, 0], [-1, 1, 1], [3, -4, 0]):
+        n = np.array(n, dtype=float) / np.linalg.norm(n)
+        matrices.append(2.0 * np.outer(n, n) - np.eye(3))
+    branches, flipped, small = set(), 0, 0
+    for m in matrices:
+        want = Rotation.from_matrix(m).as_rotvec()
+        assert np.array(_matrix_rotvec(m)).tobytes() == want.tobytes(), m
+        branches.add(int(np.argmax([m[0, 0], m[1, 1], m[2, 2], m[0, 0] + m[1, 1] + m[2, 2]])))
+        flipped += Rotation.from_matrix(m).as_quat()[3] < 0
+        small += np.linalg.norm(want) <= switch
+    assert branches == {0, 1, 2, 3}
+    assert flipped > 100 and small > 100
+
+
+@pytest.mark.parametrize(
+    "m",
+    [np.eye(3) * 1.0001, np.eye(3) + 1e-9 * np.eye(3)[::-1], np.diag([1.0, 1.0, -1.0])],
+    ids=["scaled", "skewed", "reflection"],
+)
+def test_matrix_rotvec_rejects_what_scipy_would_orthogonalise(m):
+    # scipy orthogonalises a matrix that fails its 1e-12 test (and rejects
+    # det <= 0); the port raises for both rather than differ silently
+    with pytest.raises(NumericalInconsistencyError, match="rotation"):
+        _matrix_rotvec(m)
+
+
 def test_rank2_frame_and_invariants_need_no_cross_or_rotvec(monkeypatch, rng):
-    # the closed-form kernels replace np.cross and scipy's from_rotvec on the
-    # hot paths; with both made to raise, the answers must not change
+    # the closed-form kernels replace np.cross and scipy's Rotation and
+    # minimize on the hot paths; with all of them made to raise, the answers
+    # must not change
+    import scipy.optimize
     from scipy.spatial.transform import Rotation
 
     from qpair import degree, local_invariants
@@ -320,6 +375,8 @@ def test_rank2_frame_and_invariants_need_no_cross_or_rotvec(monkeypatch, rng):
 
     monkeypatch.setattr(np, "cross", banned)
     monkeypatch.setattr(Rotation, "from_rotvec", staticmethod(banned))
+    monkeypatch.setattr(Rotation, "from_matrix", staticmethod(banned))
+    monkeypatch.setattr(scipy.optimize, "minimize", banned)
     got = (rank2_canonical(rotated), degree(rotated), local_invariants(generic))
     assert got[0] == want[0]
     assert (got[1].S, got[1].method, got[1].family_data) == (
