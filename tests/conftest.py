@@ -4,9 +4,20 @@ import sys
 
 import numpy as np
 import pytest
+import scipy
 from scipy.spatial.transform import Rotation
 
 from qpair import TwoQubitState, to_density_matrix
+
+
+# qpair's Nelder-Mead and matrix-to-rotation-vector kernels repeat scipy
+# 1.17's floating-point steps. Older scipy (1.15 is the newest for Python
+# 3.10) is not yet shown to take the same steps, so the bit-for-bit
+# comparisons with it skip there rather than hold qpair to another reference.
+scipy_reference = pytest.mark.skipif(
+    tuple(int(part) for part in scipy.__version__.split(".")[:2]) < (1, 17),
+    reason=f"bit-for-bit reference is scipy 1.17 or newer, not {scipy.__version__}",
+)
 
 
 def random_rotation(rng):

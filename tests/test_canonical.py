@@ -34,7 +34,7 @@ from qpair.canonical import (
     diagonalize_cross,
 )
 
-from conftest import random_rotation
+from conftest import random_rotation, scipy_reference
 
 
 def _reassemble(form: CanonicalForm):
@@ -305,6 +305,7 @@ def test_rotvec_matrix_matches_scipy_bit_for_bit(rng):
         assert _rotvec_matrix(v).tobytes() == want.tobytes(), v
 
 
+@scipy_reference
 def test_matrix_rotvec_matches_scipy_bit_for_bit(rng):
     # the port repeats scipy's from_matrix + as_rotvec steps, so the vectors
     # must agree byte for byte: on random rotations, which reach all four

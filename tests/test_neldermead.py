@@ -19,7 +19,9 @@ import qpair.canonical as canon
 from qpair import Rank2Params, RankTwo, apply_local, construct_family, rank2_canonical
 from qpair._neldermead import minimize
 
-from conftest import random_rotation
+from conftest import random_rotation, scipy_reference
+
+pytestmark = scipy_reference
 
 # the options of the rank-2 polish in canonical._rank2_frame
 POLISH = {"maxiter": 2000, "maxfev": 3000, "xatol": 1e-13, "fatol": 1e-22}
