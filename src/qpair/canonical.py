@@ -19,7 +19,7 @@ from ._tolerances import CROSS_CHECK_TOL, DEFAULT_TOL, ORDER_SLACK, ROUNDING_TOL
 from .classify import purity_rank
 from .errors import ConvergenceError, NumericalInconsistencyError, PreconditionError
 from .families import Rank2Params, check_rotation, rank2_family_vector
-from .invariants import global_invariants, local_invariants
+from .invariants import _invariants
 from .state import TENSOR, TwoQubitState, to_density_matrix
 
 __all__ = [
@@ -379,7 +379,7 @@ def _rank2_frame(state, vecs):
     g2 = min(max(g2, 0.0), g1)
     result = Rank2Params(gamma1=g1, gamma2=g2, x1=x1, x2=x2, x3=x3)
 
-    glob = global_invariants(local_invariants(state))
+    glob = _invariants(state)[1]
     x_sq_expected = (glob.A2 - 2.0) / 4.0
     if abs(result.x_sq - x_sq_expected) > CROSS_CHECK_TOL:
         raise NumericalInconsistencyError(

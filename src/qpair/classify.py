@@ -2,9 +2,10 @@
 
 Positivity and separability each have two independent routes: inequalities
 in the global invariants, and a direct Hermitian eigensolve (of the state,
-or of its partial reflection).  Both run every time and both margins are
-reported; the routes must agree, and a disagreement that cannot be blamed
-on boundary rounding raises instead of picking a side.
+or of its partial reflection).  Both run on every state, positivity once per
+state and ``tol`` (``state._memo``'s slot serves every later decider), and
+both margins are reported; the routes must agree, and a disagreement that
+cannot be blamed on boundary rounding raises instead of picking a side.
 """
 
 from __future__ import annotations
@@ -16,13 +17,9 @@ import numpy as np
 
 from ._tolerances import DEFAULT_TOL
 from .errors import NumericalInconsistencyError, ValidityError
-from .invariants import (
-    GlobalInvariants,
-    _det_entanglement,
-    global_invariants,
-    local_invariants,
-)
-from .state import TwoQubitState, entanglement_dyadic, reflect, to_density_matrix
+from .invariants import GlobalInvariants, _invariants, det_entanglement
+from .state import TwoQubitState, _eigenvalues, _memo, entanglement_dyadic, reflect
+from .state import to_density_matrix
 
 __all__ = ["Verdict", "PurityRank", "is_state", "is_entangled", "is_separable", "purity_rank"]
 
@@ -32,6 +29,9 @@ _CLEAR_BAND_FACTOR = 1000.0
 # eigenvalue perturbations of size tol move the quartic slacks by a bounded
 # factor; purity_rank's cross-check encloses them in this many tol
 _PURITY_BAND_FACTOR = 100.0
+_POSITIVITY_MARGINS = ("quartic_value", "quartic_slope", "quartic_curvature", "min_eigenvalue")
+_SEPARABILITY_MARGINS = ("reflected_quartic_value", "reflected_quartic_slope",
+                         "reflected_min_eigenvalue")
 
 
 @dataclass(frozen=True)
@@ -82,29 +82,20 @@ def _check_agreement(inv_ok, mat_ok, inv_margins, mat_margin, tol, what):
 
 
 def _positivity(state, tol):
-    """``is_state``'s verdict, local and global invariants, and eigenvalues."""
+    """``is_state``'s verdict, from one positivity pass per state and ``tol``."""
     if not 0.0 < tol < np.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
-    loc = local_invariants(state)
-    glob = global_invariants(loc)
-    m1, m2, m3 = _quartic_margins(glob)
-    eigs = np.linalg.eigvalsh(to_density_matrix(state))
-    min_eig = float(eigs[0])
+    decision, margins = _memo(state, ("positivity", tol), _positivity_pass, tol)
+    return Verdict(decision, dict(zip(_POSITIVITY_MARGINS, margins)), "Both")
 
+
+def _positivity_pass(state, tol):
+    m1, m2, m3 = _quartic_margins(_invariants(state)[1])
+    min_eig = float(_eigenvalues(state)[0])
     inv_ok = min(m1, m2, m3) >= -tol
     mat_ok = min_eig >= -tol
     _check_agreement(inv_ok, mat_ok, (m1, m2, m3), min_eig, tol, "positivity")
-    verdict = Verdict(
-        decision=inv_ok and mat_ok,
-        margins={
-            "quartic_value": m1,
-            "quartic_slope": m2,
-            "quartic_curvature": m3,
-            "min_eigenvalue": min_eig,
-        },
-        method="Both",
-    )
-    return verdict, loc, glob, eigs
+    return inv_ok and mat_ok, (m1, m2, m3, min_eig)
 
 
 def is_state(state: TwoQubitState, tol: float = DEFAULT_TOL) -> Verdict:
@@ -115,18 +106,17 @@ def is_state(state: TwoQubitState, tol: float = DEFAULT_TOL) -> Verdict:
     is the smallest eigenvalue from the direct eigensolve.  The decision
     is the conjunction of both routes at ``tol``.
     """
-    return _positivity(state, tol)[0]
+    return _positivity(state, tol)
 
 
 def _require_state(state, tol, who):
-    """The one validity decision: raise ``ValidityError`` or return (loc, glob, eigs)."""
-    verdict, *derived = _positivity(state, tol)
+    """The one validity decision: raise ``ValidityError`` unless ``state`` is a state."""
+    verdict = _positivity(state, tol)
     if not verdict.decision:
         raise ValidityError(
             f"{who} requires a valid state; positivity margins {dict(verdict.margins)}",
             min_eigenvalue=verdict.margins["min_eigenvalue"],
         )
-    return derived
 
 
 def is_entangled(state: TwoQubitState, tol: float = DEFAULT_TOL) -> bool:
@@ -153,9 +143,9 @@ def is_separable(state: TwoQubitState, tol: float = DEFAULT_TOL) -> Verdict:
     ``reflected_min_eigenvalue`` comes from eigensolving the reflected
     matrix.  Decision is the conjunction of both routes at ``tol``.
     """
-    loc, glob, _ = _require_state(state, tol, "is_separable")
-    det_e = _det_entanglement(state, loc)
-    m1 = 1.0 + 16.0 * det_e - (glob.A2 - glob.A1 + glob.A0)
+    _require_state(state, tol, "is_separable")
+    loc, glob = _invariants(state)
+    m1 = 1.0 + 16.0 * det_entanglement(state) - (glob.A2 - glob.A1 + glob.A0)
     m2 = 4.0 + 16.0 * loc.a3_1 - (2.0 * glob.A2 - glob.A1)
     reflected = reflect(state, "partial")
     min_eig = float(np.linalg.eigvalsh(to_density_matrix(reflected))[0])
@@ -163,15 +153,7 @@ def is_separable(state: TwoQubitState, tol: float = DEFAULT_TOL) -> Verdict:
     inv_ok = min(m1, m2) >= -tol
     mat_ok = min_eig >= -tol
     _check_agreement(inv_ok, mat_ok, (m1, m2), min_eig, tol, "separability")
-    return Verdict(
-        decision=inv_ok and mat_ok,
-        margins={
-            "reflected_quartic_value": m1,
-            "reflected_quartic_slope": m2,
-            "reflected_min_eigenvalue": min_eig,
-        },
-        method="Both",
-    )
+    return Verdict(inv_ok and mat_ok, dict(zip(_SEPARABILITY_MARGINS, (m1, m2, min_eig))), "Both")
 
 
 def purity_rank(state: TwoQubitState, tol: float = DEFAULT_TOL) -> PurityRank:
@@ -182,10 +164,11 @@ def purity_rank(state: TwoQubitState, tol: float = DEFAULT_TOL) -> PurityRank:
     inequalities all tight); rank 2 against its own pair of equalities
     with the subspace radius x^2 = (A2 - 2)/4 below 1.
     """
-    _, glob, eigs = _require_state(state, tol, "purity_rank")
-    rank = int(np.sum(eigs > tol))
+    _require_state(state, tol, "purity_rank")
+    rank = int(np.sum(_eigenvalues(state) > tol))
     pure = rank == 1
 
+    glob = _invariants(state)[1]
     m1, m2, m3 = _quartic_margins(glob)
     band = _PURITY_BAND_FACTOR * tol
     if pure and max(abs(m1), abs(m2), abs(m3)) > band:

@@ -35,10 +35,10 @@ from .families import (
     construct_family,
 )
 from .invariants import (
-    _det_entanglement,
-    _spectrum,
+    det_entanglement,
     global_invariants,
     local_invariants,
+    spectrum,
     trace_modulus,
 )
 from .io import dump_json, parse_state, serialize_state, state_payload
@@ -189,12 +189,11 @@ def invariants(input_pos, input_opt, output, tol, pretty):
     """Local and global invariants, detE, Spur|C|, and the spectrum."""
     state = _load(input_pos, input_opt)
     loc = local_invariants(state)
-    glob = global_invariants(loc)
-    spec = _spectrum(state, glob)
+    spec = spectrum(state)
     report = {
         "local": asdict(loc),
-        "global": asdict(glob),
-        "det_E": _det_entanglement(state, loc),
+        "global": asdict(global_invariants(loc)),
+        "det_E": det_entanglement(state),
         "trace_modulus": trace_modulus(state.C),
         "spectrum": {
             "kappa": [float(k) for k in spec.kappa],

@@ -17,7 +17,7 @@ import numpy as np
 from ._tolerances import CROSS_CHECK_TOL, ROUNDING_TOL
 from .errors import NumericalInconsistencyError
 from .quartic import real_quartic_roots
-from .state import TwoQubitState, entanglement_dyadic, to_density_matrix
+from .state import TwoQubitState, _eigenvalues, _memo, entanglement_dyadic
 
 # relative gap allowed in trace_modulus between the zeta cubic's coefficients two ways
 _CUBIC_CHECK_TOL = 1e-10
@@ -106,9 +106,18 @@ def subdeterminant(c) -> np.ndarray:
 
 
 def local_invariants(state: TwoQubitState) -> LocalInvariants:
+    return _invariants(state)[0]
+
+
+def _invariants(state):
+    """(LocalInvariants, GlobalInvariants) of ``state``, evaluated once per state (the slot)."""
+    return _memo(state, "invariants", _evaluate_invariants)
+
+
+def _evaluate_invariants(state):
     s, t, c = state.s, state.t, state.C
     g = c.T @ c
-    return LocalInvariants(
+    loc = LocalInvariants(
         a2_1=float(np.trace(g)),
         a2_2=float(s @ s),
         a2_3=float(t @ t),
@@ -119,15 +128,12 @@ def local_invariants(state: TwoQubitState) -> LocalInvariants:
         a4_3=float(s @ (c @ c.T) @ s),
         a4_4=float(t @ g @ t),
     )
+    return loc, global_invariants(loc)
 
 
 def det_entanglement(state: TwoQubitState) -> float:
     """det E = det C - s.sub(C).t, checked against det(C - s t^T) directly."""
-    return _det_entanglement(state, local_invariants(state))
-
-
-def _det_entanglement(state, loc):
-    """``det_entanglement`` from the state's already computed local invariants."""
+    loc = local_invariants(state)
     value = loc.a3_1 - loc.a4_2
     direct = float(np.linalg.det(entanglement_dyadic(state)))
     tol = ROUNDING_TOL * max(1.0, abs(loc.a3_1) + abs(loc.a4_2))
@@ -200,16 +206,11 @@ def spectrum(state: TwoQubitState) -> SpectrumResult:
     4x4 matrix runs alongside; the two spectra must agree to
     ``CROSS_CHECK_TOL`` but neither result is adjusted toward the other.
     """
-    return _spectrum(state, global_invariants(local_invariants(state)))
-
-
-def _spectrum(state, glob):
-    """``spectrum`` from the state's already computed global invariants."""
+    glob = _invariants(state)[1]
     kappa = real_quartic_roots(0.0, -glob.A2, glob.A1, -glob.A0)
     eigenvalues = (1.0 - kappa) / 4.0
 
-    direct = np.linalg.eigvalsh(to_density_matrix(state))
-    gap = float(np.max(np.abs(np.sort(eigenvalues) - direct)))
+    gap = float(np.max(np.abs(np.sort(eigenvalues) - _eigenvalues(state))))
     if gap > CROSS_CHECK_TOL:
         raise NumericalInconsistencyError(
             f"quartic spectrum and direct eigensolve disagree by {gap:.3e}"

@@ -120,6 +120,36 @@ def to_density_matrix(state: TwoQubitState) -> np.ndarray:
     return 0.25 * np.einsum("ij,ijkl->kl", coeff, TENSOR)
 
 
+# The slot: (state, its parameters' bytes, {key: immutable value}) of the state analysed last,
+# so questions about one state derive each quantity once.  Another object, or this one changed
+# in place, replaces the whole tuple; concurrent callers can only miss, never swap answers.
+_slot = (None, b"", {})
+
+
+def _memo(state, key, compute, *args):
+    """``compute(state, *args)``, kept in the slot under ``key``; a raise keeps nothing."""
+    global _slot
+    tag = state.s.tobytes() + state.t.tobytes() + state.C.tobytes()
+    last, last_tag, values = _slot
+    if last is not state or last_tag != tag:
+        values = {}
+        _slot = (state, tag, values)
+    if key not in values:
+        values[key] = compute(state, *args)
+    return values[key]
+
+
+def _eigenvalues(state):
+    """Ascending, read-only eigenvalues of the density matrix, from the slot."""
+    return _memo(state, "eigenvalues", _eigensolve)
+
+
+def _eigensolve(state):
+    eigs = np.linalg.eigvalsh(to_density_matrix(state))
+    eigs.setflags(write=False)
+    return eigs
+
+
 def from_density_matrix(m, tol: float = DEFAULT_TOL) -> TwoQubitState:
     """Read the 15 Pauli parameters off a density matrix.
 

@@ -29,9 +29,13 @@ def count_calls(monkeypatch, module, name):
     """Count calls of ``module.name`` through every qpair module holding it.
 
     Several modules import by name, so the counting wrapper replaces the
-    function wherever it is bound.  Returns the list that grows by one
-    entry per call.
+    function wherever it is bound.  The one-entry memo of ``qpair.state``
+    starts empty, so the count does not depend on what earlier tests left
+    there.  Returns the list that grows by one entry per call.
     """
+    import qpair.state
+
+    monkeypatch.setattr(qpair.state, "_slot", (None, b"", {}))
     original = getattr(module, name)
     calls = []
 

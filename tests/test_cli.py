@@ -216,8 +216,10 @@ def test_invariants_report_matches_the_library():
 
 
 def test_invariants_report_derives_the_local_invariants_once(monkeypatch):
+    # the report asks local_invariants, spectrum and det_entanglement in
+    # turn; the slot evaluates the invariants for the first and serves the rest
     emitted = _invoke(["random", "--seed", "3"])
-    calls = count_calls(monkeypatch, qpair.invariants, "local_invariants")
+    calls = count_calls(monkeypatch, qpair.invariants, "_evaluate_invariants")
     result = _invoke(["invariants", "-"], stdin=emitted.output)
     assert result.exit_code == 0
     assert len(calls) == 1
@@ -240,21 +242,29 @@ _WERNER_ARGS = ["random", "--family", "werner", "--params", "0.5"]
         (_RANK4_ARGS, "decompose", 1),
         (_RANK2_ARGS, "decompose", 1),
         (_WERNER_ARGS, "decompose", 1),
-        (_RANK2_ARGS, "canonical", 2),
-        (["random", "--family", "generic_pure", "--params", "0.35"], "canonical", 2),
+        # the canonical and classify cases keep the ids of the pass counts
+        # they had before the slot, so the case names stay stable
+        pytest.param(_RANK2_ARGS, "canonical", 1, id="emit7-canonical-2"),
+        pytest.param(
+            ["random", "--family", "generic_pure", "--params", "0.35"], "canonical", 1,
+            id="emit8-canonical-2",
+        ),
         (_RANK4_ARGS, "canonical", 1),
-        # classify asks each public decider in turn: is_state, is_separable,
-        # purity_rank and is_entangled; the rank-2 frame runs on _route's eigh
-        pytest.param(_RANK2_ARGS, "classify", 4, id="emit10-classify-5"),
-        (_RANK4_ARGS, "classify", 4),
+        # classify asks each public decider in turn: is_separable,
+        # purity_rank, is_state and is_entangled; the first evaluates the
+        # positivity pass and the slot serves the other three, and the
+        # rank-2 frame runs on _route's eigh
+        pytest.param(_RANK2_ARGS, "classify", 1, id="emit10-classify-5"),
+        pytest.param(_RANK4_ARGS, "classify", 1, id="emit11-classify-4"),
     ],
 )
 def test_commands_decide_validity_in_the_library_only(emit, command, passes, monkeypatch):
-    # the positivity passes left are the library's own preconditions: the
-    # separability decision, plus purity_rank ahead of the rank-2 and pure
-    # canonical forms; the CLI adds none of its own
+    # one positivity pass per command: the library's own precondition (the
+    # separability decision, or purity_rank ahead of the rank-2 and pure
+    # canonical forms) evaluates it, every later question about the same
+    # state reads it from the slot, and the CLI adds none of its own
     emitted = _invoke(emit)
-    calls = count_calls(monkeypatch, qpair.classify, "_positivity")
+    calls = count_calls(monkeypatch, qpair.classify, "_positivity_pass")
     result = _invoke([command, "-"], stdin=emitted.output)
     assert result.exit_code == 0
     assert len(calls) == passes

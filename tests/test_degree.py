@@ -537,7 +537,7 @@ def test_degree_counts_the_rank_from_the_route_eigensolve(state, passes, monkeyp
     import qpair.classify
     from conftest import count_calls
 
-    calls = count_calls(monkeypatch, qpair.classify, "_positivity")
+    calls = count_calls(monkeypatch, qpair.classify, "_positivity_pass")
     degree(state)
     assert len(calls) == passes
 
@@ -557,7 +557,7 @@ def test_ls_optimize_decides_validity_once(state, monkeypatch):
     import qpair.classify
     from conftest import count_calls
 
-    calls = count_calls(monkeypatch, qpair.classify, "_positivity")
+    calls = count_calls(monkeypatch, qpair.classify, "_positivity_pass")
     ls_optimize(state)
     assert len(calls) == 1
 
