@@ -40,7 +40,7 @@ class Verdict:
 
     decision: bool
     margins: Mapping[str, float]
-    method: str  # "InvariantForm", "MatrixForm", or "Both"
+    method: str  # always "Both": the invariant and the matrix route run on every call
 
     def __bool__(self):
         return self.decision

@@ -55,18 +55,6 @@ def _write(text: str, output):
         click.echo(text, nl=False)
 
 
-def _finish(command, state, options, report, output, pretty, code=0):
-    doc = {
-        "command": command,
-        "input": state_payload(state),
-        "options": options,
-        "report": report,
-        "tool": _TOOL,
-    }
-    _write(dump_json(doc, pretty=pretty), output)
-    sys.exit(code)
-
-
 def _fail(code, exc, message=None, **extra):
     error = {"type": type(exc).__name__, "message": message or str(exc)}
     for key, value in extra.items():
@@ -89,20 +77,6 @@ def _guarded(fn):
             _fail(1, exc)
 
     return wrapper
-
-
-def _load(input_pos, input_opt):
-    if input_pos and input_opt:
-        raise StateFileError(
-            "state given both as argument and as --input", location="(arguments)"
-        )
-    source = input_opt or input_pos or "-"
-    if source == "-":
-        data = sys.stdin.buffer.read()
-    else:
-        with open(source, "rb") as fh:
-            data = fh.read()
-    return parse_state(data)
 
 
 def _margins(mapping):
@@ -149,48 +123,85 @@ def _family_payload(state, tol, rank):
     return None
 
 
-def _common(fn):
-    fn = click.argument("input_pos", required=False, metavar="[INPUT]")(fn)
-    fn = click.option("--input", "input_opt", metavar="PATH", help="StateFile path ('-' for stdin).")(fn)
-    fn = click.option("--output", metavar="PATH", help="Write the report here instead of stdout.")(fn)
-    fn = click.option("--tol", type=float, default=DEFAULT_TOL, show_default=True, help="Classification tolerance.")(fn)
-    fn = click.option("--pretty", is_flag=True, help="Indent the JSON output.")(fn)
-    return fn
-
-
 @click.group()
 @click.version_option(version=__version__, prog_name="qpair")
 def main():
     """Two-qubit states as Pauli vectors and a cross dyadic."""
 
 
-@main.command()
-@_common
-@_guarded
-def check(input_pos, input_opt, output, tol, pretty):
+def _subcommand(name, search=False):
+    """Register `build(state, tol)` as the report subcommand `name`.
+
+    `build` returns the report, or `(report, exit_code)`.  The subcommand
+    loads the StateFile, maps library errors to exit codes, and prints the
+    report in its envelope with the options used.  `search` adds
+    --restarts/--seed, still accepted and echoed with no effect.
+    """
+    params = [
+        click.Option(["--pretty"], is_flag=True, help="Indent the JSON output."),
+        click.Option(["--tol"], type=float, default=DEFAULT_TOL, show_default=True, help="Classification tolerance."),
+        click.Option(["--output"], metavar="PATH", help="Write the report here instead of stdout."),
+        click.Option(["--input", "input_opt"], metavar="PATH", help="StateFile path ('-' for stdin)."),
+        click.Argument(["input_pos"], required=False, metavar="[INPUT]"),
+    ]
+    if search:
+        params += [
+            click.Option(
+                [flag], type=int, default=default, show_default=True,
+                help="No effect (the optimizer is deterministic); echoed in options.",
+            )
+            for flag, default in (("--restarts", 64), ("--seed", 0))
+        ]
+
+    def register(build):
+        @_guarded
+        def callback(input_pos, input_opt, output, tol, pretty, **inert):
+            if input_pos and input_opt:
+                raise StateFileError(
+                    "state given both as argument and as --input", location="(arguments)"
+                )
+            source = input_opt or input_pos or "-"
+            if source == "-":
+                data = sys.stdin.buffer.read()
+            else:
+                with open(source, "rb") as fh:
+                    data = fh.read()
+            state = parse_state(data)
+            result = build(state, tol)
+            report, code = result if isinstance(result, tuple) else (result, 0)
+            doc = {
+                "command": name,
+                "input": state_payload(state),
+                "options": {"tol": tol, **inert},
+                "report": report,
+                "tool": _TOOL,
+            }
+            _write(dump_json(doc, pretty=pretty), output)
+            sys.exit(code)
+
+        return main.command(name, params=params, help=build.__doc__)(callback)
+
+    return register
+
+
+@_subcommand("check")
+def check(state, tol):
     """Validity verdict: is the parameter set a physical state?"""
-    state = _load(input_pos, input_opt)
     verdict = is_state(state, tol)
     report = {
         "valid": bool(verdict.decision),
         "margins": _margins(verdict.margins),
         "method": verdict.method,
     }
-    _finish(
-        "check", state, {"tol": tol}, report, output, pretty,
-        code=0 if verdict.decision else 2,
-    )
+    return report, 0 if verdict.decision else 2
 
 
-@main.command()
-@_common
-@_guarded
-def invariants(input_pos, input_opt, output, tol, pretty):
+@_subcommand("invariants")
+def invariants(state, tol):
     """Local and global invariants, detE, Spur|C|, and the spectrum."""
-    state = _load(input_pos, input_opt)
     loc = local_invariants(state)
     spec = spectrum(state)
-    report = {
+    return {
         "local": asdict(loc),
         "global": asdict(global_invariants(loc)),
         "det_E": det_entanglement(state),
@@ -200,18 +211,14 @@ def invariants(input_pos, input_opt, output, tol, pretty):
             "eigenvalues": [float(e) for e in spec.eigenvalues],
         },
     }
-    _finish("invariants", state, {"tol": tol}, report, output, pretty)
 
 
-@main.command()
-@_common
-@_guarded
-def classify(input_pos, input_opt, output, tol, pretty):
+@_subcommand("classify")
+def classify(state, tol):
     """Entanglement, separability, rank, and family detection."""
-    state = _load(input_pos, input_opt)
     separable = is_separable(state, tol)  # raises ValidityError on an invalid state
     rank = purity_rank(state, tol)
-    report = {
+    return {
         "valid": True,
         "validity_margins": _margins(is_state(state, tol).margins),
         "entangled": bool(is_entangled(state, tol)),
@@ -220,15 +227,11 @@ def classify(input_pos, input_opt, output, tol, pretty):
         **asdict(rank),
         "family": _family_payload(state, tol, rank),
     }
-    _finish("classify", state, {"tol": tol}, report, output, pretty)
 
 
-@main.command()
-@_common
-@_guarded
-def canonical(input_pos, input_opt, output, tol, pretty):
+@_subcommand("canonical")
+def canonical(state, tol):
     """Canonical form; generic-form parameters for pure and rank-2 states."""
-    state = _load(input_pos, input_opt)
     form = diagonalize_cross(state)
     report = {
         "O_ee": [[float(x) for x in row] for row in form.o_ee],
@@ -241,28 +244,14 @@ def canonical(input_pos, input_opt, output, tol, pretty):
         report["pure"] = {"p": pure_canonical(state, tol)}
     elif rank.rank == 2:
         report["rank2"] = asdict(rank2_canonical(state, tol))
-    _finish("canonical", state, {"tol": tol}, report, output, pretty)
+    return report
 
 
-def _inert_search_options(fn):
-    """--restarts/--seed: still accepted and echoed in options, with no effect."""
-    for name, default in (("--seed", 0), ("--restarts", 64)):
-        fn = click.option(
-            name, type=int, default=default, show_default=True,
-            help="No effect (the optimizer is deterministic); echoed in options.",
-        )(fn)
-    return fn
-
-
-@main.command(name="degree")
-@_common
-@_inert_search_options
-@_guarded
-def degree_cmd(input_pos, input_opt, output, tol, pretty, restarts, seed):
+@_subcommand("degree", search=True)
+def degree_cmd(state, tol):
     """Degree of separability with the route that produced it."""
-    state = _load(input_pos, input_opt)
     result = degree(state, tol=tol)
-    report = {
+    return {
         "S": float(result.S),
         "method": result.method,
         "family_data": None if result.family_data is None else {
@@ -273,38 +262,22 @@ def degree_cmd(input_pos, input_opt, output, tol, pretty, restarts, seed):
         if result.decomposition is None
         else _decomposition_payload(result.decomposition),
     }
-    _finish(
-        "degree", state, {"tol": tol, "restarts": restarts, "seed": seed},
-        report, output, pretty,
-    )
 
 
-@main.command()
-@_common
-@_inert_search_options
-@_guarded
-def decompose(input_pos, input_opt, output, tol, pretty, restarts, seed):
+@_subcommand("decompose", search=True)
+def decompose(state, tol):
     """Best separable-plus-pure split: exact at rank 2, an interior-point SDP at ranks 3-4."""
-    state = _load(input_pos, input_opt)
-    dec = ls_optimize(state, tol=tol)
-    _finish(
-        "decompose", state, {"tol": tol, "restarts": restarts, "seed": seed},
-        _decomposition_payload(dec), output, pretty,
-    )
+    return _decomposition_payload(ls_optimize(state, tol=tol))
 
 
-@main.command()
-@_common
-@_guarded
-def expectations(input_pos, input_opt, output, tol, pretty):
+@_subcommand("expectations")
+def expectations(state, tol):
     """The minimal set of five measurements and their 15 values."""
-    state = _load(input_pos, input_opt)
-    table = table_of_five(state)
     rows = [
         {"setting": name, "values": {key: value for key, value in values}}
-        for name, values in table.rows
+        for name, values in table_of_five(state).rows
     ]
-    _finish("expectations", state, {"tol": tol}, {"rows": rows}, output, pretty)
+    return {"rows": rows}
 
 
 _FAMILY_ARITY = {

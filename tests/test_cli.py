@@ -37,6 +37,7 @@ from qpair import (
     trace_modulus,
 )
 from qpair.cli import main
+from qpair.io import state_payload
 
 from conftest import count_calls
 
@@ -141,6 +142,87 @@ def test_commands_needing_a_state_exit_two_on_an_invalid_one(command):
     error = _error(result)
     assert error["type"] == "ValidityError"
     assert error["min_eigenvalue"] == pytest.approx(-0.125, abs=1e-12)
+
+
+_REPORT_COMMANDS = ["check", "invariants", "classify", "canonical", "degree", "decompose", "expectations"]
+_SEARCH_COMMANDS = {"degree", "decompose"}
+
+
+@pytest.mark.parametrize("command", _REPORT_COMMANDS)
+def test_every_report_command_prints_the_envelope(command):
+    statefile = _statefile(construct_family(Werner(0.5)))
+    result = _invoke([command], stdin=statefile)
+    assert result.exit_code == 0, result.output
+    doc = json.loads(result.output)
+    assert sorted(doc) == ["command", "input", "options", "report", "tool"]
+    assert doc["command"] == command
+    assert doc["input"] == state_payload(parse_state(statefile))
+    expected = {"tol": 1e-9}
+    if command in _SEARCH_COMMANDS:
+        expected.update(restarts=64, seed=0)
+    assert doc["options"] == expected
+
+
+# what each report command does with a parameter set that is not a state:
+# check reports the verdict, invariants and expectations are defined for
+# any parameter set, and the rest need a state
+_ON_INVALID = {
+    "check": (2, "report"),
+    "invariants": (0, "report"),
+    "classify": (2, "ValidityError"),
+    "canonical": (2, "ValidityError"),
+    "degree": (2, "ValidityError"),
+    "decompose": (2, "ValidityError"),
+    "expectations": (0, "report"),
+}
+
+
+@pytest.mark.parametrize("command", _REPORT_COMMANDS)
+def test_every_report_command_answers_an_invalid_state(command):
+    code, kind = _ON_INVALID[command]
+    result = _invoke([command, "-"], stdin=_INVALID_DOC)
+    assert result.exit_code == code
+    if kind == "report":
+        report = _report(result)
+        if command == "check":
+            assert report["valid"] is False
+    else:
+        error = _error(result)
+        assert error["type"] == kind
+        assert error["min_eigenvalue"] == pytest.approx(-0.025, abs=1e-12)
+
+
+@pytest.mark.parametrize("command", _REPORT_COMMANDS)
+def test_every_report_command_rejects_a_malformed_file(command, tmp_path):
+    path = tmp_path / "broken.json"
+    path.write_text('{"format": "qpair-state/1", "s": [0.0, 0.0', encoding="utf-8")
+    result = _invoke([command, str(path)])
+    assert result.exit_code == 1
+    error = _error(result)
+    assert error["type"] == "StateFileError"
+    assert "malformed JSON" in error["message"]
+    assert "line 1" in error["location"]
+
+
+def test_help_lists_every_subcommand_with_its_summary():
+    summaries = {
+        "canonical": "Canonical form; generic-form parameters for pure and rank-2 states.",
+        "check": "Validity verdict: is the parameter set a physical state?",
+        "classify": "Entanglement, separability, rank, and family detection.",
+        "decompose": "Best separable-plus-pure split: exact at rank 2, an interior-point SDP at ranks 3-4.",
+        "degree": "Degree of separability with the route that produced it.",
+        "expectations": "The minimal set of five measurements and their 15 values.",
+        "invariants": "Local and global invariants, detE, Spur|C|, and the spectrum.",
+        "random": "Emit a StateFile: seeded random, or an exact family member.",
+    }
+    result = _invoke(["--help"])
+    assert result.exit_code == 0
+    listing = result.output.split("Commands:\n", 1)[1]
+    shown = dict(line.strip().split(None, 1) for line in listing.splitlines() if line.strip())
+    assert sorted(shown) == sorted(summaries)
+    for name, summary in shown.items():
+        assert summary.removesuffix("...").strip()
+        assert summaries[name].startswith(summary.removesuffix("...")), name
 
 
 def test_degree_werner_half_closed_form():
