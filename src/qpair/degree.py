@@ -63,7 +63,8 @@ __all__ = [
 _FEAS_TOL = 1e-10
 # Hermiticity and trace slack when a split's normalized separable part is read back
 _SPLIT_TOL = 1e-7
-# relative size at which a coefficient of the product-state quadratic counts as zero
+# relative size at which a coefficient, or the discriminant, of the
+# product-state quadratic counts as zero
 _QUADRATIC_TOL = 1e-13
 # chaos-plus-pure detection: allowed eigenvalue spread and reconstruction error
 _DETECT_TOL = 1e-8
@@ -316,7 +317,9 @@ def _support_product_states(u_support):
     psi = u1 + z u2 is a product vector exactly when its 2x2 reshape has
     zero determinant, a quadratic in complex z; a generic subspace holds
     exactly two such states.  A vanishing leading coefficient moves one
-    root to z = infinity, i.e. to u2 itself.
+    root to z = infinity, i.e. to u2 itself.  A discriminant that is zero
+    to rounding (gamma1 = gamma2) leaves the one state of the double root
+    z = -c1 / (2 c2), which np.roots would split by about sqrt(eps).
     """
     a = u_support[:, 0].reshape(2, 2)
     b = u_support[:, 1].reshape(2, 2)
@@ -329,6 +332,8 @@ def _support_product_states(u_support):
         vectors.append(u_support[:, 1])
         if abs(c1) > _QUADRATIC_TOL * scale:
             vectors.append(u_support[:, 0] - (c0 / c1) * u_support[:, 1])
+    elif abs(c1 * c1 - 4.0 * c2 * c0) <= _QUADRATIC_TOL * (abs(c2) + abs(c1) + abs(c0)) ** 2:
+        vectors.append(u_support[:, 0] - (c1 / (2.0 * c2)) * u_support[:, 1])
     else:
         for z in np.roots([c2, c1, c0]):
             vectors.append(u_support[:, 0] + z * u_support[:, 1])

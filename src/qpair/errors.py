@@ -1,5 +1,15 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "QpairError",
+    "RepresentationError",
+    "ValidityError",
+    "PreconditionError",
+    "NumericalInconsistencyError",
+    "ConvergenceError",
+    "StateFileError",
+]
+
 
 class QpairError(Exception):
     """Base class for all errors raised by this package."""

@@ -19,13 +19,7 @@ import numpy as np
 from .errors import RepresentationError, StateFileError
 from .state import TwoQubitState, from_density_matrix
 
-__all__ = [
-    "FORMAT_TAG",
-    "parse_state",
-    "serialize_state",
-    "state_payload",
-    "dump_json",
-]
+__all__ = ["FORMAT_TAG", "parse_state", "serialize_state"]
 
 FORMAT_TAG = "qpair-state/1"
 

@@ -24,6 +24,7 @@ from .errors import RepresentationError
 
 __all__ = [
     "PAULI",
+    "TENSOR",
     "TwoQubitState",
     "ExpectationTable",
     "to_density_matrix",

@@ -221,3 +221,27 @@ def test_every_public_tol_defaults_to_default_tol():
         "ls_optimize", "degree", "cli check --tol", "cli degree --tol",
     } <= set(defaults)
     assert {name: default for name, default in defaults.items() if default != qpair.DEFAULT_TOL} == {}
+
+
+def test_each_public_name_is_declared_once_in_its_module():
+    # qpair re-publishes its modules' __all__, so each public name is written
+    # once; `from qpair import *` binds exactly qpair.__all__
+    import importlib
+    from collections import Counter
+
+    import qpair
+
+    modules = {m: importlib.import_module(f"qpair.{m}") for m in (
+        "errors", "state", "families", "quartic", "invariants", "classify", "canonical",
+        "degree", "io")}
+    counts = Counter(name for module in modules.values() for name in module.__all__)
+    assert {name: n for name, n in counts.items() if n > 1} == {}
+    assert sorted(qpair.__all__) == sorted(["__version__", "DEFAULT_TOL", *counts])
+    star = {}
+    exec("from qpair import *", star)
+    del star["__builtins__"]
+    assert sorted(star) == sorted(qpair.__all__)
+    assert [name for name in star if star[name] is not getattr(qpair, name)] == []
+    assert [name for name in star if name.startswith("_")] == ["__version__"]
+    # the package attribute is the function, not the module of the same name
+    assert qpair.degree is modules["degree"].degree

@@ -240,18 +240,16 @@ def test_ls_optimize_pure_entangled():
 
 
 @pytest.mark.parametrize(
-    "params, atol",
+    "params",
     [
-        (Rank2Params(math.pi / 4, _G2, 0.0, 0.4, 0.3), 1e-12),
-        # np.roots splits the double root by about sqrt(eps), which moves S
-        # by up to about 1e-7 over rotated gamma1 = gamma2 states
-        (Rank2Params(0.8, 0.8, 0.3, 0.4, -0.5), 1e-7),
-        (Rank2Params(0.9, 0.0, 0.15, 0.3, -0.4), 1e-12),
-        (Rank2Params(math.pi / 2, 0.6, 0.3, 0.2, 0.4), 1e-12),
+        Rank2Params(math.pi / 4, _G2, 0.0, 0.4, 0.3),
+        Rank2Params(0.8, 0.8, 0.3, 0.4, -0.5),
+        Rank2Params(0.9, 0.0, 0.15, 0.3, -0.4),
+        Rank2Params(math.pi / 2, 0.6, 0.3, 0.2, 0.4),
     ],
     ids=["generic", "equal_angles", "gamma2_zero", "gamma1_right_angle"],
 )
-def test_ls_optimize_rank2_is_exact(params, atol, monkeypatch):
+def test_ls_optimize_rank2_is_exact(params, monkeypatch):
     # Entangled rank-2 states are solved in closed form over the product
     # states of the support, with no search of any kind; gamma1 = gamma2
     # has one product state (a double root), the other corners sit on the
@@ -272,10 +270,32 @@ def test_ls_optimize_rank2_is_exact(params, atol, monkeypatch):
     closed = degree_rank2(params)
     assert closed.pair_kind is not None
     dec = ls_optimize(state)
-    assert dec.lambda_ == pytest.approx(closed.S, abs=atol)
+    assert dec.lambda_ == pytest.approx(closed.S, abs=1e-12)
     assert dec.objective_history == ((0, dec.lambda_),)
     _check_decomposition(state, dec, atol=1e-12)
 
+
+def test_ls_optimize_rank2_at_equal_angles_is_exact():
+    # gamma1 = gamma2 leaves one product state in the support, a double root
+    # of the product-state quadratic that np.roots would split by about
+    # sqrt(eps) (S up to 5e-8 too high); taken as one root, S is exact
+    from qpair import apply_local
+    from conftest import random_rotation
+
+    rng = np.random.default_rng(11)
+    checked = 0
+    for gamma in (0.3, 0.8, 1.2):
+        for _ in range(20):
+            x = rng.normal(size=3)
+            params = Rank2Params(gamma, gamma, *(x * rng.uniform(0.2, 0.95) / np.linalg.norm(x)))
+            state = apply_local(
+                construct_family(RankTwo(params)), random_rotation(rng), random_rotation(rng)
+            )
+            closed = degree_rank2(params)
+            if closed.S < 1.0:
+                assert ls_optimize(state).lambda_ == pytest.approx(closed.S, abs=1e-12)
+                checked += 1
+    assert checked >= 40
 
 def _bell_with_tiny_admixture(rank, seed):
     # a locally rotated Bell state plus rank - 1 orthogonal directions of
