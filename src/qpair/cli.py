@@ -1,13 +1,13 @@
 """Command-line surface.
 
-Every subcommand reads a StateFile (path argument, --input, or standard
-input), computes one section of the full report, and prints a key-sorted
-JSON document.  Reports carry the tool version and the options used, and
-contain no timestamps, so a fixed input and seed reproduce the output
-byte for byte.  Exit codes: 0 success; 2 the input parsed but is not a
-state, which `check` reports and `classify`, `canonical`, `degree` and
-`decompose` refuse (`invariants` and `expectations` answer any parameter
-set); 1 anything that prevented a result.
+Every subcommand but `random`, which writes one, reads a StateFile (path
+argument, --input, or standard input), computes one section of the full
+report, and prints a key-sorted JSON document.  Reports carry the tool
+version and the options used, and contain no timestamps, so a fixed input and
+seed reproduce the output byte for byte.  Exit codes: 0 success; 2 the input
+parsed but is not a state, which `check` reports and `classify`, `canonical`,
+`degree` and `decompose` refuse (`invariants` and `expectations` answer any
+parameter set); 1 anything that prevented a result.
 """
 
 from __future__ import annotations

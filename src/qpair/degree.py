@@ -78,9 +78,14 @@ _GAP_RATIO = 0.1
 # cone boundary that each step takes
 _PD_ITERATIONS = 60
 _STEP_FRACTION = 0.98
+# a block of W or Z whose condition number reaches 1 / eps is singular to
+# rounding, so that iterate is no longer positive definite
+_EPS = float(np.finfo(np.float64).eps)
 # smallest eigenvalue of the PPT block's value at X = 1 that its rescaling
 # undoes; below it (kernel vector within about 3e-2 of a product) the scale is capped
 _PPT_SCALE_FLOOR = 1e-3
+# _hermitian_basis's (basis, traces) per rank r
+_HERMITIAN_BASES = {}
 
 
 @dataclass(frozen=True, eq=False)
@@ -418,16 +423,22 @@ def _rank2_split(rho, eigs, vecs):
 
 
 def _hermitian_basis(r):
-    """The r x r Hermitian matrices' basis, orthonormal under tr(AB)."""
-    basis = np.zeros((r * r, r, r), dtype=np.complex128)
-    for k, (i, j) in enumerate((i, j) for i in range(r) for j in range(r)):
-        if i == j:
-            basis[k, i, i] = 1.0
-        elif i < j:
-            basis[k, i, j] = basis[k, j, i] = math.sqrt(0.5)
-        else:
-            basis[k, i, j], basis[k, j, i] = 1j * math.sqrt(0.5), -1j * math.sqrt(0.5)
-    return basis
+    """The r x r Hermitian matrices' basis, orthonormal under tr(AB) and
+    flattened to (r^2, r^2), and its traces; both read-only, built once per r."""
+    if r not in _HERMITIAN_BASES:
+        basis = np.zeros((r * r, r, r), dtype=np.complex128)
+        for k, (i, j) in enumerate((i, j) for i in range(r) for j in range(r)):
+            if i == j:
+                basis[k, i, i] = 1.0
+            elif i < j:
+                basis[k, i, j] = basis[k, j, i] = math.sqrt(0.5)
+            else:
+                basis[k, i, j], basis[k, j, i] = 1j * math.sqrt(0.5), -1j * math.sqrt(0.5)
+        traces = np.trace(basis, axis1=1, axis2=2).real
+        basis = basis.reshape(r * r, r * r)
+        basis.flags.writeable = traces.flags.writeable = False
+        _HERMITIAN_BASES[r] = basis, traces
+    return _HERMITIAN_BASES[r]
 
 
 def _psd_part(m):
@@ -435,35 +446,37 @@ def _psd_part(m):
     return (u * np.maximum(e, 0.0)) @ u.conj().T
 
 
-def _trace_product(w, z, mask):
-    """Re tr(W Z) over a block stack, leaving out the masked padding.
+def _trace_product(wz, mask):
+    """Re tr(W Z) over a (W, Z) pair of block stacks, leaving out the masked padding.
 
     Z is Hermitian, so tr(W Z) = sum W * conj(Z) entrywise, whose real part
     is a real dot product of the two stacks viewed as reals.
     """
-    return float((w * mask).reshape(-1).view(np.float64) @ z.reshape(-1).view(np.float64))
+    return float((wz[0] * mask).reshape(-1).view(np.float64) @ wz[1].reshape(-1).view(np.float64))
 
 
-def _hkm_step(w, z, y, gap, e, u, sdp):
-    """One HKM predictor-corrector step from (W, Z, y), with (e, u) the eigenpairs of W and Z.
+def _hkm_step(wz, y, gap, linv, buf, sdp):
+    """One HKM predictor-corrector step from (W, Z, y) to the next (W, Z) pair and y.
 
-    W, Z and the offset C are (3, n, n) stacks of the cone blocks, and ``gap``
-    is tr(W Z).  ``sdp`` holds the coordinate matrices G_j flattened to
-    (m, 3 n n) and viewed as reals, the same G_j laid side by side per block
-    (3, n, m n), C, b, the padding mask and the order 2r + q of the unpadded
-    cone.  As G_j is Hermitian, tr(G_j T) = sum conj(G_j) * T entrywise, so
-    its real part is a real dot product with the flattened G_j.  Per block,
-    two products give K_l = W G_l Z^-1 for every l, so the Schur complement
-    M_jl = Re tr(G_j K_l) is one product and W (dZ - r_d) Z^-1 = sum_l dy_l K_l
-    another.  Both solves of M are LU solves: an explicit M^-1 loses primal
-    feasibility near the optimum.  The mask keeps dW at zero on the padding,
+    ``wz`` stacks W and Z, the (3, n, n) stacks of the cone blocks, ``gap`` is tr(W Z)
+    and ``linv`` the inverses of their Cholesky factors L.  They give Z^-1 =
+    L^-dagger L^-1, and the least eigenvalue of L^-1 (dW, dZ) L^-dagger, read from
+    ``buf``, the (2, 3, n, n) stack each direction is written into, gives its distance
+    to the cone boundary.  ``sdp`` holds the G_j flattened to (m, 3 n n) and viewed as
+    reals, the G_j laid side by side per block (3, n, m n), C, b, the padding mask and
+    the order 2r + q of the unpadded cone.  As G_j is Hermitian, tr(G_j T) =
+    sum conj(G_j) * T entrywise, so its real part is a real dot product with the
+    flattened G_j.  Per block, two products give K_l = W G_l Z^-1 for every l, so the
+    Schur complement M_jl = Re tr(G_j K_l) is one product and W (dZ - r_d) Z^-1 =
+    sum_l dy_l K_l another.  Both solves of M are LU solves: an explicit M^-1 loses
+    primal feasibility near the optimum.  The mask keeps dW at zero on the padding,
     where r_d and dZ vanish exactly.
     """
     flat, rows, offset, traces, mask, size = sdp
+    w, z = wz
     shape, n = w.shape, w.shape[-1]
-    z_inv = (u[1] / e[1][..., None, :]) @ u[1].conj().swapaxes(-1, -2)
-    # W^-1/2 and Z^-1/2, which turn a step's distance to the boundary into an eigenvalue
-    isqrt = (u / np.sqrt(e)[..., None, :]) @ u.conj().swapaxes(-1, -2)
+    linv_h = linv.conj().swapaxes(-1, -2)
+    z_inv = linv_h[1] @ linv[1]
     rd = offset + (y @ flat).view(np.complex128).reshape(shape) - z
     # K[b, a, l, c] = (W G_l Z^-1)[b][a, c], reordered to one row per coordinate
     k = ((w @ rows).reshape(3, -1, n) @ z_inv).reshape(3, n, -1, n)
@@ -471,25 +484,22 @@ def _hkm_step(w, z, y, gap, e, u, sdp):
     schur = flat @ k.T
     w_rd = w @ rd @ z_inv
 
-    def direction(sigma_mu, second_order):
-        # dZ = rd + sum_j dy_j G_j and dW = sigma mu Z^-1 - W - W dZ Z^-1 - second_order,
-        # with dy fixed by the primal equations tr(G_j (W + dW)) = -b_j
-        t = sigma_mu * z_inv - w_rd - second_order
+    def direction(t, fraction):
+        # dZ = rd + sum_j dy_j G_j and dW = t - W - W (dZ - rd) Z^-1, with dy fixed by the
+        # primal equations tr(G_j (W + dW)) = -b_j; returns dy and the (primal, dual) lengths
         dy = np.linalg.solve(schur, traces + flat @ t.reshape(-1).view(np.float64))
-        dz = rd + (dy @ flat).view(np.complex128).reshape(shape)
+        np.add(rd, (dy @ flat).view(np.complex128).reshape(shape), out=buf[1])
         dw = (t - w - (dy @ k).view(np.complex128).reshape(shape)) * mask
-        return dy, dz, 0.5 * (dw + dw.conj().swapaxes(-1, -2))
+        np.multiply(0.5, dw + dw.conj().swapaxes(-1, -2), out=buf[0])
+        low = np.linalg.eigvalsh(linv @ buf @ linv_h)[:, :, :1, None].min(axis=1, keepdims=True)
+        return dy, fraction / np.maximum(-low, fraction)
 
-    def lengths(dw, dz, fraction):
-        low = np.linalg.eigvalsh(isqrt @ np.stack([dw, dz]) @ isqrt)[..., 0].min(axis=1)
-        return [1.0 if x >= 0.0 else min(1.0, -fraction / x) for x in low]
-
-    dy, dz, dw = direction(0.0, 0.0)
-    ap, ad = lengths(dw, dz, 1.0)
-    sigma = (_trace_product(w + ap * dw, z + ad * dz, mask) / gap) ** 3
-    dy, dz, dw = direction(sigma * gap / size, dw @ dz @ z_inv)
-    ap, ad = lengths(dw, dz, _STEP_FRACTION)
-    return w + ap * dw, z + ad * dz, y + ad * dy
+    # t = sigma mu Z^-1 - W rd Z^-1, less dW dZ Z^-1 in the corrector
+    dy, step = direction(-w_rd, 1.0)
+    sigma = (_trace_product(wz + step * buf, mask) / gap) ** 3
+    t = sigma * gap / size * z_inv - w_rd - buf[0] @ buf[1] @ z_inv
+    dy, step = direction(t, _STEP_FRACTION)
+    return wz + step * buf, y + step[1, 0, 0, 0] * dy
 
 
 def _interior_point_split(rho, eigs, vecs, rank, tol):
@@ -518,9 +528,15 @@ def _interior_point_split(rho, eigs, vecs, rank, tol):
     (HKM direction, Mehrotra predictor-corrector, ``_hkm_step``) starts at
     W = Z = 1, y = 0, so it needs no strictly feasible point.  W, Z, C and
     the G_j are stored block by block, as (3, n, n) stacks with n = max(r, q),
-    so every eigensolve and product runs on the three blocks rather than on
-    one mostly zero (2r + q)^2 matrix.  At rank 3 with a full PPT block the
-    X and D - X blocks are padded with one diagonal entry whose G entries
+    W and Z as one (2, 3, n, n) pair, so every factorization and product runs
+    on the blocks rather than on one mostly zero (2r + q)^2 matrix.  Each
+    iteration factors the pair once, one batched Cholesky and one inverse of
+    the factors.  A failed factor, or a block B with tr(B) tr(B^-1) (at
+    least its condition number, at most n^2 times it) past 1 / eps, marks W
+    or Z as no longer positive definite; the inverses also serve Z^-1 and
+    both step lengths of ``_hkm_step``, whose directions go to one buffer
+    per solve.  At rank 3 with a full PPT block the X and
+    D - X blocks are padded with one diagonal entry whose G entries
     are 0 and whose offset is 1, so r_d and dZ vanish there exactly.  A
     constant mask zeroes dW there and leaves the entry out of tr(W Z), so
     the padded SDP is the same SDP; unmasked, the pad's W entry would shrink
@@ -546,8 +562,8 @@ def _interior_point_split(rho, eigs, vecs, rank, tol):
     # eigenvalues at or below tol are zero for the solve; the split still
     # reproduces rho, so its margins may carry their weight
     outside = float(np.sum(np.abs(eigs[: 4 - r])))
-    herm = _hermitian_basis(r)
-    reflected = _kernels.reflect4(v @ herm @ v.conj().T)
+    herm, herm_traces = _hermitian_basis(r)
+    reflected = _kernels.reflect4(v @ herm.reshape(-1, r, r) @ v.conj().T).reshape(r * r, -1)
     null, keep = np.eye(r * r), np.eye(4)
     if r == 3:
         left, schmidt, right = np.linalg.svd(vecs[:, 0].reshape(2, 2))
@@ -555,18 +571,20 @@ def _interior_point_split(rho, eigs, vecs, rank, tol):
             reflected_kernel = np.kron(left[:, 1], right[0])
             bra = v.conj().T @ reflected_kernel
             ket = v.conj().T @ np.kron(left[:, 0], right[1])
-            equation = np.einsum("a,kab,b->k", bra.conj(), herm, ket)
+            equation = herm @ np.outer(bra.conj(), ket).reshape(-1)
             null = np.linalg.svd(np.stack([equation.real, equation.imag]))[2][2:].T
             keep = np.linalg.svd(reflected_kernel[:, None])[0][:, 1:]
     scale, frame = np.linalg.eigh(keep.conj().T @ _kernels.reflect4(v @ v.conj().T) @ keep)
     keep = keep @ (frame / np.sqrt(np.maximum(scale, _PPT_SCALE_FLOOR))) @ frame.conj().T
-    basis = np.einsum("kj,kab->jab", null, herm)
+    # the G_j's X block, flattened, and as reals the projection onto its span
+    basis = null.T @ herm
+    proj = basis.view(np.float64)
     m, q = len(basis), keep.shape[1]
     n = max(r, q)
     coords = np.zeros((m, 3, n, n), dtype=np.complex128)
-    coords[:, 0, :r, :r] = basis
-    coords[:, 1, :r, :r] = -basis
-    coords[:, 2, :q, :q] = keep.conj().T @ np.einsum("kj,kab->jab", null, reflected) @ keep
+    coords[:, 0, :r, :r] = basis.reshape(m, r, r)
+    coords[:, 1, :r, :r] = -basis.reshape(m, r, r)
+    coords[:, 2, :q, :q] = keep.conj().T @ (null.T @ reflected).reshape(m, 4, 4) @ keep
     offset = np.zeros((3, n, n), dtype=np.complex128)
     offset[1, :r, :r] = np.diag(d)
     # a block smaller than n is padded with diagonal entries held at W = Z = 1
@@ -578,26 +596,32 @@ def _interior_point_split(rho, eigs, vecs, rank, tol):
         coords.reshape(m, -1).view(np.float64),
         coords.transpose(1, 2, 0, 3).reshape(3, n, m * n),
         offset,
-        np.einsum("jaa->j", basis).real,
+        null.T @ herm_traces,
         mask,
         2 * r + q,
     )
 
-    w_mat = np.tile(np.eye(n, dtype=np.complex128), (3, 1, 1))
-    z_mat, y = w_mat.copy(), np.zeros(m)
+    wz = np.tile(np.eye(n, dtype=np.complex128), (2, 3, 1, 1))
+    buf, y = np.empty_like(wz), np.zeros(m)
     best_lower, best_upper, best = 0.0, math.inf, None
     history = []
     for it in range(_PD_ITERATIONS):
-        gap = _trace_product(w_mat, z_mat, mask)
-        e, u = np.linalg.eigh(np.stack([w_mat, z_mat]))
-        last = it == _PD_ITERATIONS - 1 or e[..., 0].min() <= 0.0
+        gap = _trace_product(wz, mask)
+        try:
+            linv = np.linalg.inv(np.linalg.cholesky(wz))
+            # tr(B) tr(B^-1) lies between a block B's condition number and n^2 times it
+            cond = wz.trace(axis1=-2, axis2=-1).real * np.square(linv.view(np.float64)).sum((-2, -1))
+            last = it == _PD_ITERATIONS - 1 or cond.max() * _EPS >= 1.0
+        except np.linalg.LinAlgError:
+            last = True
         if gap <= _GAP_TOL or last:
-            w_dx = w_mat[1, :r, :r]
-            w_p = _kernels.reflect4(keep @ _psd_part(w_mat[2, :q, :q]) @ keep.conj().T)
-            z = np.eye(r) + _psd_part(w_mat[0, :r, :r]) + v.conj().T @ w_p @ v
-            z = w_dx + np.einsum("j,jab->ab", np.einsum("jab,ba->j", basis, z - w_dx).real, basis)
-            best_upper = min(best_upper, float(np.einsum("a,aa->", d, _psd_part(z)).real))
-            top, top_vecs = np.linalg.eigh(rho - v @ z_mat[0, :r, :r] @ v.conj().T)
+            w_dx = wz[0, 1, :r, :r]
+            w_p = _kernels.reflect4(keep @ _psd_part(wz[0, 2, :q, :q]) @ keep.conj().T)
+            z = np.eye(r) + _psd_part(wz[0, 0, :r, :r]) + v.conj().T @ w_p @ v
+            coef = proj @ (z - w_dx).reshape(-1).view(np.float64)
+            z = w_dx + (coef @ proj).view(np.complex128).reshape(r, r)
+            best_upper = min(best_upper, float(d @ _psd_part(z).diagonal().real))
+            top, top_vecs = np.linalg.eigh(rho - v @ wz[1, 0, :r, :r] @ v.conj().T)
             lam = 1.0 - float(top[3])
             if lam > best_lower:
                 split = _pure_split(rho, eigs, vecs, float(top[3]), top_vecs[:, 3])
@@ -607,7 +631,7 @@ def _interior_point_split(rho, eigs, vecs, rank, tol):
         if last or best_upper - best_lower <= min(_GAP_TOL, _GAP_RATIO * best_lower):
             break
         try:
-            w_mat, z_mat, y = _hkm_step(w_mat, z_mat, y, gap, e, u, sdp)
+            wz, y = _hkm_step(wz, y, gap, linv, buf, sdp)
         except np.linalg.LinAlgError:
             break
     steps = len(history)
