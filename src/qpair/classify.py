@@ -40,7 +40,6 @@ class Verdict:
 
     decision: bool
     margins: Mapping[str, float]
-    method: str  # always "Both": the invariant and the matrix route run on every call
 
     def __bool__(self):
         return self.decision
@@ -86,7 +85,7 @@ def _positivity(state, tol):
     if not 0.0 < tol < np.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
     decision, margins = _memo(state, ("positivity", tol), _positivity_pass, tol)
-    return Verdict(decision, dict(zip(_POSITIVITY_MARGINS, margins)), "Both")
+    return Verdict(decision, dict(zip(_POSITIVITY_MARGINS, margins)))
 
 
 def _positivity_pass(state, tol):
@@ -153,7 +152,7 @@ def is_separable(state: TwoQubitState, tol: float = DEFAULT_TOL) -> Verdict:
     inv_ok = min(m1, m2) >= -tol
     mat_ok = min_eig >= -tol
     _check_agreement(inv_ok, mat_ok, (m1, m2), min_eig, tol, "separability")
-    return Verdict(inv_ok and mat_ok, dict(zip(_SEPARABILITY_MARGINS, (m1, m2, min_eig))), "Both")
+    return Verdict(inv_ok and mat_ok, dict(zip(_SEPARABILITY_MARGINS, (m1, m2, min_eig))))
 
 
 def purity_rank(state: TwoQubitState, tol: float = DEFAULT_TOL) -> PurityRank:

@@ -81,43 +81,39 @@ def _guarded(fn):
     return wrapper
 
 
-def _margins(mapping):
-    return {k: float(v) for k, v in mapping.items()}
-
-
 def _complex_vector(v):
-    return {"re": [float(x.real) for x in v], "im": [float(x.imag) for x in v]}
+    return {"re": v.real.tolist(), "im": v.imag.tolist()}
 
 
 def _decomposition_payload(dec):
     return {
-        "lambda": float(dec.lambda_),
+        "lambda": dec.lambda_,
         "sep": state_payload(dec.sep),
         "pure": None if dec.pure is None else _complex_vector(dec.pure),
-        "margins": _margins(dec.margins),
-        "objective_history": [[int(i), float(l)] for i, l in dec.objective_history],
+        "margins": dec.margins,
+        "objective_history": dec.objective_history,
     }
 
 
 def _family_payload(state, tol, rank):
     method, data, _ = _route(state, tol)
     if method == "ClosedFormWernerFirst":
-        if float(np.max(np.abs(state.C))) <= tol:
+        if np.max(np.abs(state.C)) <= tol:
             return {"name": "chaotic"}
         form = diagonalize_cross(state)
         c = form.c
-        if float(c[0] - c[2]) <= FAMILY_EDGE and form.sign < 0:
-            x = float(np.mean(c))
+        if c[0] - c[2] <= FAMILY_EDGE and form.sign < 0:
+            x = np.mean(c)
             if x >= 1.0 - FAMILY_EDGE:
                 return {"name": "bell"}
             return {"name": "werner", "x": x}
         return {
             "name": "werner_first",
             "sign": float(form.sign),
-            "c": [float(v) for v in c],
+            "c": c.tolist(),
         }
     if rank.pure:
-        return {"name": "generic_pure", "p": float(np.linalg.norm(state.s))}
+        return {"name": "generic_pure", "p": np.linalg.norm(state.s)}
     if method == "ClosedFormWernerSecond":
         return {"name": "werner_second", "x": data[0], "p": data[1]}
     if method == "ClosedFormRank2":
@@ -191,9 +187,9 @@ def check(state, tol):
     """Validity verdict: is the parameter set a physical state?"""
     verdict = is_state(state, tol)
     report = {
-        "valid": bool(verdict.decision),
-        "margins": _margins(verdict.margins),
-        "method": verdict.method,
+        "valid": verdict.decision,
+        "margins": verdict.margins,
+        "method": "Both",  # the invariant inequalities and the eigensolve decide every verdict
     }
     return report, 0 if verdict.decision else 2
 
@@ -209,8 +205,8 @@ def invariants(state, tol):
         "det_E": det_entanglement(state),
         "trace_modulus": trace_modulus(state.C),
         "spectrum": {
-            "kappa": [float(k) for k in spec.kappa],
-            "eigenvalues": [float(e) for e in spec.eigenvalues],
+            "kappa": spec.kappa.tolist(),
+            "eigenvalues": spec.eigenvalues.tolist(),
         },
     }
 
@@ -222,10 +218,10 @@ def classify(state, tol):
     rank = purity_rank(state, tol)
     return {
         "valid": True,
-        "validity_margins": _margins(is_state(state, tol).margins),
-        "entangled": bool(is_entangled(state, tol)),
-        "separable": bool(separable.decision),
-        "separability_margins": _margins(separable.margins),
+        "validity_margins": is_state(state, tol).margins,
+        "entangled": is_entangled(state, tol),
+        "separable": separable.decision,
+        "separability_margins": separable.margins,
         **asdict(rank),
         "family": _family_payload(state, tol, rank),
     }
@@ -236,9 +232,9 @@ def canonical(state, tol):
     """Canonical form; generic-form parameters for pure and rank-2 states."""
     form = diagonalize_cross(state)
     report = {
-        "O_ee": [[float(x) for x in row] for row in form.o_ee],
-        "O_nn": [[float(x) for x in row] for row in form.o_nn],
-        "c": [float(x) for x in form.c],
+        "O_ee": form.o_ee.tolist(),
+        "O_nn": form.o_nn.tolist(),
+        "c": form.c.tolist(),
         "sign": float(form.sign),
     }
     rank = purity_rank(state, tol)
@@ -254,12 +250,9 @@ def degree_cmd(state, tol):
     """Degree of separability with the route that produced it."""
     result = degree(state, tol=tol)
     return {
-        "S": float(result.S),
+        "S": result.S,
         "method": result.method,
-        "family_data": None if result.family_data is None else {
-            k: (None if v is None else (v if isinstance(v, (str, int)) else float(v)))
-            for k, v in result.family_data.items()
-        },
+        "family_data": result.family_data,
         "decomposition": None
         if result.decomposition is None
         else _decomposition_payload(result.decomposition),
@@ -276,7 +269,7 @@ def decompose(state, tol):
 def expectations(state, tol):
     """The minimal set of five measurements and their 15 values."""
     rows = [
-        {"setting": name, "values": {key: value for key, value in values}}
+        {"setting": name, "values": dict(values)}
         for name, values in table_of_five(state).rows
     ]
     return {"rows": rows}
@@ -289,7 +282,7 @@ _FAMILY_ARITY = {
     "werner_first": (WernerFirst, ("sign", "c1", "c2", "c3")),
     "werner_second": (WernerSecond, ("x", "p")),
     "generic_pure": (GenericPure, ("p",)),
-    "rank_two": (RankTwo, ("gamma1", "gamma2", "x1", "x2", "x3")),
+    "rank_two": (lambda *x: RankTwo(Rank2Params(*x)), ("gamma1", "gamma2", "x1", "x2", "x3")),
 }
 
 
@@ -320,7 +313,7 @@ def random_cmd(seed, rank, family_name, params, output, pretty):
     else:
         if rank is not None:
             raise ValueError("--rank and --family are mutually exclusive")
-        cls, names = _FAMILY_ARITY[family_name]
+        record, names = _FAMILY_ARITY[family_name]
         values = []
         if params:
             values = [float(v) for v in params.split(",")]
@@ -329,11 +322,7 @@ def random_cmd(seed, rank, family_name, params, output, pretty):
                 f"family {family_name!r} needs --params with {len(names)} "
                 f"value(s): {', '.join(names) or '(none)'}"
             )
-        if family_name == "rank_two":
-            spec = RankTwo(Rank2Params(*values))
-        else:
-            spec = cls(*values)
-        state = construct_family(spec)
+        state = construct_family(record(*values))
     _write(serialize_state(state, pretty=pretty), output)
     sys.exit(0)
 

@@ -351,15 +351,16 @@ def _sep_margins(sep_rho):
     return {"sep_min_eigenvalue": pos, "sep_reflected_min_eigenvalue": ppt}
 
 
-def _separable_split(state, rho):
-    """The trivial split of a separable state: all weight separable."""
+def _exact_split(lam, sep, sep_rho, pure):
+    """An exact route's split lam * sep + (1 - lam) |pure><pure|, with sep's margins
+    read off its density matrix ``sep_rho``; ``pure`` is None for a separable state."""
     return LSDecomposition(
-        lambda_=1.0,
-        sep=state,
-        pure=None,
-        margins=_sep_margins(rho),
-        objective_history=((0, 1.0),),
-        upper_bound=1.0,
+        lambda_=lam,
+        sep=sep,
+        pure=pure,
+        margins=_sep_margins(sep_rho),
+        objective_history=((0, lam),),
+        upper_bound=lam,
     )
 
 
@@ -376,14 +377,8 @@ def _pure_split(rho, eigs, vecs, w, psi):
     proj = support @ support.conj().T
     part = proj @ (rho - w * np.outer(psi, psi.conj())) @ proj
     sep_rho = (part + part.conj().T) / (2.0 * np.trace(part).real)
-    lam = 1.0 - w
-    return LSDecomposition(
-        lambda_=lam,
-        sep=from_density_matrix(sep_rho, tol=_SPLIT_TOL),
-        pure=fix_global_phase(psi),
-        margins=_sep_margins(sep_rho),
-        objective_history=((0, lam),),
-        upper_bound=lam,
+    return _exact_split(
+        1.0 - w, from_density_matrix(sep_rho, tol=_SPLIT_TOL), sep_rho, fix_global_phase(psi)
     )
 
 
@@ -604,6 +599,8 @@ def _interior_point_split(rho, eigs, vecs, rank, tol):
     wz = np.tile(np.eye(n, dtype=np.complex128), (2, 3, 1, 1))
     buf, y = np.empty_like(wz), np.zeros(m)
     best_lower, best_upper, best = 0.0, math.inf, None
+    # the largest margin-test slack of a scored split: the residual if none passes
+    nearest = -math.inf
     history = []
     for it in range(_PD_ITERATIONS):
         gap = _trace_product(wz, mask)
@@ -625,7 +622,9 @@ def _interior_point_split(rho, eigs, vecs, rank, tol):
             lam = 1.0 - float(top[3])
             if lam > best_lower:
                 split = _pure_split(rho, eigs, vecs, float(top[3]), top_vecs[:, 3])
-                if lam * (min(split.margins.values()) + _FEAS_TOL) + outside + EIGEN_FLOOR >= 0:
+                slack = lam * (min(split.margins.values()) + _FEAS_TOL) + outside + EIGEN_FLOOR
+                nearest = max(nearest, slack)
+                if slack >= 0:
                     best_lower, best = lam, split
         history.append((it, best_lower))
         if last or best_upper - best_lower <= min(_GAP_TOL, _GAP_RATIO * best_lower):
@@ -638,7 +637,9 @@ def _interior_point_split(rho, eigs, vecs, rank, tol):
 
     if best is None:
         raise ConvergenceError(
-            f"no interior-point iterate gave a feasible split in {steps} iterations"
+            f"no interior-point iterate gave a feasible split in {steps} iterations; "
+            f"the nearest missed its margin test by {-nearest:.3e}",
+            residual=nearest,
         )
     if best_upper < best_lower - ORDER_SLACK - outside:
         raise NumericalInconsistencyError(
@@ -670,7 +671,7 @@ def ls_optimize(state: TwoQubitState, tol: float = DEFAULT_TOL) -> LSDecompositi
     """
     rho = to_density_matrix(state)
     if is_separable(state, tol).decision:
-        return _separable_split(state, rho)
+        return _exact_split(1.0, state, rho, None)
     return _entangled_split(rho, *np.linalg.eigh(rho), tol)
 
 
@@ -679,13 +680,8 @@ def _entangled_split(rho, eigs, vecs, tol):
     rank = int(np.sum(eigs > tol))
     if rank == 1:
         # entangled pure state: nothing separable remains
-        return LSDecomposition(
-            lambda_=0.0,
-            sep=construct_family(Chaotic()),
-            pure=fix_global_phase(vecs[:, 3]),
-            margins=_sep_margins(np.eye(4) / 4.0),
-            objective_history=((0, 0.0),),
-            upper_bound=0.0,
+        return _exact_split(
+            0.0, construct_family(Chaotic()), np.eye(4) / 4.0, fix_global_phase(vecs[:, 3])
         )
     if rank == 2:
         return _rank2_split(rho, eigs, vecs)
@@ -750,7 +746,7 @@ def degree(state: TwoQubitState, tol: float = DEFAULT_TOL) -> DegreeResult:
     disagrees with the exact split of the same spectrum raises.
     """
     if is_separable(state, tol).decision:
-        dec = _separable_split(state, to_density_matrix(state))
+        dec = _exact_split(1.0, state, to_density_matrix(state), None)
         return DegreeResult(S=1.0, method="SeparableShortcut", decomposition=dec)
     # validity is settled: is_separable above raises on an invalid state
     method, data, spectral = _route(state, tol)

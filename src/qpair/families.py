@@ -177,7 +177,7 @@ class Rank2Params:
                 f"angles must satisfy pi/2 >= gamma1 >= gamma2 >= 0, "
                 f"got ({self.gamma1}, {self.gamma2})"
             )
-        if self.x_sq > 1.0 + DEFAULT_TOL:
+        if not self.x_sq <= 1.0 + DEFAULT_TOL:  # a NaN coefficient fails too
             raise ValueError(f"x1^2 + x2^2 + x3^2 = {self.x_sq:.17g} exceeds 1")
 
     @property

@@ -31,17 +31,9 @@ def dump_json(obj, pretty: bool = False) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
 
 
-def _vector(a):
-    return [float(x) for x in np.asarray(a).ravel()]
-
-
-def _matrix(m):
-    return [[float(x) for x in row] for row in np.asarray(m)]
-
-
 def state_payload(state: TwoQubitState) -> dict:
     """The {s, t, C} payload of a state, as plain Python lists."""
-    return {"s": _vector(state.s), "t": _vector(state.t), "C": _matrix(state.C)}
+    return {"s": state.s.tolist(), "t": state.t.tolist(), "C": state.C.tolist()}
 
 
 def serialize_state(
@@ -49,8 +41,7 @@ def serialize_state(
     metadata: Optional[Mapping[str, str]] = None,
     pretty: bool = False,
 ) -> str:
-    doc = {"format": FORMAT_TAG}
-    doc.update(state_payload(state))
+    doc = {"format": FORMAT_TAG, **state_payload(state)}
     if metadata:
         doc["metadata"] = {str(k): str(v) for k, v in metadata.items()}
     return dump_json(doc, pretty=pretty)

@@ -168,13 +168,16 @@ def from_density_matrix(m, tol: float = DEFAULT_TOL) -> TwoQubitState:
     Raises
     ------
     RepresentationError
-        If ``m`` is not Hermitian or not unit-trace within ``tol``.
+        If ``m`` has a non-finite entry, or is not Hermitian or not unit-trace
+        within ``tol``.
     """
     if not 0.0 <= tol < np.inf:
         raise ValueError(f"tol must be nonnegative and finite, got {tol}")
     m = np.asarray(m, dtype=np.complex128)
     if m.shape != (4, 4):
         raise RepresentationError(f"density matrix must be 4x4, got {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise RepresentationError("density matrix has non-finite entries")
     herm = np.max(np.abs(m - m.conj().T))
     if herm > tol:
         raise RepresentationError(
@@ -241,7 +244,7 @@ def mix(states, weights) -> TwoQubitState:
     if np.any(weights < 0):
         raise ValueError(f"negative mixing weight: {weights.min():.3e}")
     total = weights.sum()
-    if abs(total - 1.0) > DEFAULT_TOL:
+    if not abs(total - 1.0) <= DEFAULT_TOL:  # a NaN weight fails too
         raise ValueError(f"weights sum to {total:.17g}, expected 1 within {DEFAULT_TOL:.1e}")
     s = sum(w * st.s for w, st in zip(weights, states))
     t = sum(w * st.t for w, st in zip(weights, states))
@@ -270,11 +273,12 @@ def fix_global_phase(psi) -> np.ndarray:
     """Normalize a pure-state 4-vector and fix its global phase.
 
     The phase is chosen so the first component of magnitude above
-    ``ROUNDING_TOL`` is real and positive.
+    ``ROUNDING_TOL`` is real and positive.  A vector with a norm below
+    ``ROUNDING_TOL``, or not finite, raises ``RepresentationError``.
     """
     psi = np.asarray(psi, dtype=np.complex128).reshape(4)
     norm = np.linalg.norm(psi)
-    if norm < ROUNDING_TOL:
+    if not ROUNDING_TOL <= norm < np.inf:
         raise RepresentationError(f"pure-state vector has norm {norm:.3e}")
     psi = psi / norm
     for comp in psi:

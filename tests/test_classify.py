@@ -34,7 +34,6 @@ def test_valid_state_verdict():
     verdict = is_state(random_state(1))
     assert verdict.decision
     assert bool(verdict)
-    assert verdict.method == "Both"
     assert set(verdict.margins) == {
         "quartic_value",
         "quartic_slope",

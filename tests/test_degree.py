@@ -462,6 +462,26 @@ def test_degree_keeps_the_optimizer_pool_answers(rank, seed, S, steps):
     _check_decomposition(state, res.decomposition)
 
 
+@pytest.mark.parametrize(
+    "rank, seed, S, steps", _OPTIMIZER_POOL, ids=[f"rank{r}_{s}" for r, s, _, _ in _OPTIMIZER_POOL]
+)
+def test_degree_and_ls_optimize_share_the_optimizer_split(rank, seed, S, steps):
+    # both run _entangled_split on the eigh of the same rho, so S and its bound agree bit for bit
+    state = random_state(seed, target_rank=rank)
+    res, dec = degree(state), ls_optimize(state)
+    assert dec.lambda_ == res.S
+    assert dec.upper_bound == res.family_data["upper_bound"]
+
+
+def test_interior_point_convergence_error_carries_its_residual(monkeypatch):
+    # a margin test that no split can pass: the error says how near the nearest came
+    monkeypatch.setattr(importlib.import_module("qpair.degree"), "_FEAS_TOL", -1.0)
+    with pytest.raises(ConvergenceError, match="missed its margin test") as info:
+        ls_optimize(random_state(3))
+    assert -1.0 < info.value.residual < 0.0
+    assert f"{-info.value.residual:.3e}" in str(info.value)
+
+
 @pytest.mark.parametrize("rank", [3, 4])
 def test_ls_optimize_brackets_tiny_S_relative_to_S(rank):
     # an absolute 1e-8 bracket would say nothing about an S of a few 1e-9;

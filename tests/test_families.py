@@ -146,6 +146,14 @@ def test_rank2_params_validation():
     assert np.allclose(par.x, [0.1, -0.2, 0.3])
 
 
+@pytest.mark.parametrize("index", range(5))
+def test_rank2_params_rejects_non_finite_values(index):
+    values = [1.0, 0.5, 0.3, 0.2, 0.1]
+    values[index] = math.nan
+    with pytest.raises(ValueError, match="angles|exceeds 1"):
+        Rank2Params(*values)
+
+
 @pytest.mark.parametrize("angles", [(0.9, 0.4), (math.pi / 2, 0.0), (1.1, 1.1)])
 def test_sigma_basis_pauli_algebra(angles):
     sig = sigma_basis(*angles)

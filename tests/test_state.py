@@ -83,6 +83,15 @@ def test_from_density_matrix_rejects_bad_input():
         from_density_matrix(np.eye(4, dtype=complex))
 
 
+@pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+def test_from_density_matrix_rejects_non_finite_entries(entry):
+    # checked before any arithmetic, so an inf entry emits no RuntimeWarning
+    m = np.eye(4, dtype=complex) / 4.0
+    m[1, 2] = entry
+    with pytest.raises(RepresentationError, match="non-finite"):
+        from_density_matrix(m)
+
+
 def test_state_constructor_validates_shapes():
     with pytest.raises(ValueError, match="shape"):
         TwoQubitState(s=np.zeros(2), t=np.zeros(3), C=np.zeros((3, 3)))
@@ -167,6 +176,13 @@ def test_mix_validates_weights():
         mix([], [])
 
 
+@pytest.mark.parametrize("weights", [[np.nan, 1.0], [0.5, np.nan], [np.inf, 0.0]])
+def test_mix_rejects_non_finite_weights(weights):
+    a = random_state(1)
+    with pytest.raises(ValueError, match="sum"):
+        mix([a, a], weights)
+
+
 def test_random_state_is_deterministic_and_valid():
     a = random_state(42)
     b = random_state(42)
@@ -196,6 +212,12 @@ def test_fix_global_phase():
     assert np.allclose(fix_global_phase(psi), psi, atol=1e-15)
     with pytest.raises(RepresentationError, match="norm"):
         fix_global_phase(np.zeros(4))
+
+
+@pytest.mark.parametrize("psi", [[np.nan] * 4, [1.0, np.nan, 0.0, 0.0], [np.inf, 0.0, 0.0, 0.0]])
+def test_fix_global_phase_rejects_non_finite_vectors(psi):
+    with pytest.raises(RepresentationError, match="norm"):
+        fix_global_phase(psi)
 
 
 def test_pure_projector_is_projector():
