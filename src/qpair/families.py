@@ -256,7 +256,14 @@ def rank2_family_vector(gamma1, gamma2, x1, x2, x3):
 
 
 def rank2_family_params(gamma1, gamma2, x1, x2, x3):
-    """Direct (s, t, C) arrays of the rank-2 generic form, bypassing matrices."""
+    """Direct (s, t, C) arrays of the rank-2 generic form, bypassing matrices.
+
+    The angles may come in either order; a non-finite parameter raises
+    ``ValueError``.
+    """
+    for name, value in zip(("gamma1", "gamma2", "x1", "x2", "x3"), (gamma1, gamma2, x1, x2, x3)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} = {value} is not finite")
     v = rank2_family_vector(gamma1, gamma2, x1, x2, x3)
     return np.array(v[:3]), np.array(v[3:6]), np.array([v[6:9], v[9:12], v[12:]])
 

@@ -289,8 +289,17 @@ def fix_global_phase(psi) -> np.ndarray:
 
 
 def pure_projector(psi) -> np.ndarray:
-    """Density matrix |psi><psi| of a normalized pure-state vector."""
+    """Density matrix |psi><psi| of a normalized pure-state vector.
+
+    A vector with a non-finite entry, or with a norm more than
+    ``DEFAULT_TOL`` away from 1, raises ``RepresentationError``.
+    """
     psi = np.asarray(psi, dtype=np.complex128).reshape(4)
+    norm = np.linalg.norm(psi)
+    if not abs(norm - 1.0) <= DEFAULT_TOL:  # a non-finite entry fails too
+        raise RepresentationError(
+            f"pure-state vector has norm {norm:.17g}, expected 1 within {DEFAULT_TOL:.1e}"
+        )
     return np.outer(psi, psi.conj())
 
 

@@ -1,15 +1,15 @@
 """Command-line interface: exit codes, report envelopes, reproducibility.
 
-Most cases drive the click group in process through CliRunner; two cases
+Most cases drive the click group in process through CliRunner; a few
 run the ``qpair`` console script's target, as bound in ``[project.scripts]``
 of ``pyproject.toml``, in a fresh interpreter on the qpair package under
-test: one for the pipeline contract and one for the usage-error remap that
-only the entry point does.  No install is needed.
+test: for the pipeline contract, for the usage-error remap that only the
+entry point does, and for reports that must not depend on what ran before
+them in-process.  No install is needed.
 """
 
 import dataclasses
 import json
-import os
 import re
 import subprocess
 import sys
@@ -21,16 +21,21 @@ from click.testing import CliRunner
 
 import qpair.classify
 import qpair.invariants
+import qpair.state
 from qpair import (
+    Chaotic,
     GenericPure,
     TwoQubitState,
     Werner,
+    WernerSecond,
     construct_family,
     det_entanglement,
     from_density_matrix,
     global_invariants,
     local_invariants,
+    mix,
     parse_state,
+    product_state,
     random_state,
     serialize_state,
     to_density_matrix,
@@ -279,6 +284,27 @@ def test_classify_detects_family(args, expected):
         if key == "name":
             continue
         assert family[key] == pytest.approx(value)
+
+
+_Z = [0.0, 0.0, 1.0]
+
+
+@pytest.mark.parametrize(
+    "state, tol, projections",
+    [
+        # the mixing weight x = 5e-10 is chaos at FAMILY_EDGE: declined before any projector
+        (construct_family(WernerSecond(5e-10, 0.5)), "1e-12", 0),
+        # the pure part |00> is a product, p = 1: declined after both projectors
+        (mix([construct_family(Chaotic()), product_state(_Z, _Z)], [0.6, 0.4]), "1e-9", 2),
+    ],
+    ids=["x_at_the_edge", "p_at_one"],
+)
+def test_classify_declines_chaos_plus_pure_at_the_family_edges(state, tol, projections, monkeypatch):
+    calls = count_calls(monkeypatch, qpair.state, "pure_projector")
+    result = _invoke(["classify", "-", "--tol", tol], stdin=_statefile(state))
+    assert result.exit_code == 0
+    assert _report(result)["family"] is None
+    assert len(calls) == projections
 
 
 def test_invariants_report_matches_the_library():
@@ -643,6 +669,29 @@ def test_console_script_usage_error_exits_one():
     assert doc["error"]["type"] == "NoSuchOption"
 
 
+@pytest.mark.parametrize("command", ["classify", "invariants"])
+def test_fresh_and_in_process_reports_agree_after_other_states(command, tmp_path):
+    # a report may not depend on what ran before it in the same interpreter
+    rank2, rank4 = tmp_path / "rank2.json", tmp_path / "rank4.json"
+    rank2.write_text(_invoke(["random", "--family", "rank_two", "--params", "1.1,0.7,0.3,0.25,0.4"]).output)
+    rank4.write_text(_invoke(["random", "--seed", "3"]).output)
+    fresh = _run_console_script(command, str(rank2))
+    assert fresh.returncode == 0, fresh.stderr
+    for other in (rank4, rank2):
+        assert _invoke(["degree", str(other)]).exit_code == 0
+    result = _invoke([command, str(rank2)])
+    assert result.exit_code == 0
+    assert result.output == fresh.stdout
+
+
+def test_decompose_prints_the_degree_s_as_its_lambda():
+    # on the Optimizer route both commands run one split, so the numbers are one
+    statefile = _invoke(["random", "--seed", "3"]).output
+    report = _report(_invoke(["degree", "-"], stdin=statefile))
+    assert report["method"] == "Optimizer"
+    assert _report(_invoke(["decompose", "-"], stdin=statefile))["lambda"] == report["S"]
+
+
 def test_stdin_is_the_default_input():
     statefile = _statefile(construct_family(Werner(0.5)))
     explicit = _invoke(["check", "-"], stdin=statefile)
@@ -678,15 +727,11 @@ print(report, end="")
 
 
 def test_no_cli_command_loads_scipy():
-    # a fresh interpreter, so no module imported by the suite is preloaded;
-    # the rank-2 calls reach the Nelder-Mead polish and the rotation-vector
-    # conversions, which are qpair's own kernels
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    result = subprocess.run(
-        [sys.executable, "-c", _IMPORT_PROBE], capture_output=True, text=True, env=env
-    )
+    # a fresh interpreter, so no module imported by the suite is preloaded; it
+    # inherits this environment and so imports the qpair under test; the rank-2
+    # calls reach the Nelder-Mead polish and the rotation-vector conversions,
+    # which are qpair's own kernels
+    result = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     loaded, report = result.stdout.split("\n", 1)
     loaded = json.loads(loaded)

@@ -190,6 +190,15 @@ def test_rank2_closed_form_matches_matrix_route(rng):
         assert np.allclose(state.C, c, atol=1e-12)
 
 
+@pytest.mark.parametrize("index", range(5))
+def test_rank2_family_params_rejects_non_finite_values(index):
+    names = ["gamma1", "gamma2", "x1", "x2", "x3"]
+    values = [0.5, 1.0, 0.3, 0.2, 0.1]  # gamma1 < gamma2 is accepted here
+    values[index] = math.nan
+    with pytest.raises(ValueError, match=f"^{names[index]} = nan"):
+        rank2_family_params(*values)
+
+
 def test_rank2_spectrum_is_half_one_plus_minus_x(rng):
     par = Rank2Params(1.0, 0.5, 0.3, -0.2, 0.4)
     r = math.sqrt(par.x_sq)

@@ -228,6 +228,14 @@ def test_pure_projector_is_projector():
     assert abs(np.trace(proj).real - 1.0) < 1e-14
 
 
+@pytest.mark.parametrize(
+    "psi", [[np.nan, 0.0, 0.0, 0.0], [np.inf, 0.0, 0.0, 0.0], [1.0, 1.0, 0.0, 0.0], [0.0] * 4]
+)
+def test_pure_projector_rejects_non_finite_or_unnormalized_vectors(psi):
+    with pytest.raises(RepresentationError, match="norm"):
+        pure_projector(psi)
+
+
 def test_table_of_five_reassembles_exactly(rng):
     state = random_state(99)
     table = table_of_five(state)
