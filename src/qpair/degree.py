@@ -35,7 +35,7 @@ from ._tolerances import (
 from .canonical import _rank2_frame
 from .classify import _require_state, is_separable
 from .errors import ConvergenceError, NumericalInconsistencyError, PreconditionError
-from .families import Chaotic, Rank2Params, RankTwo, construct_family
+from .families import Chaotic, Rank2Params, RankTwo, Werner, WernerSecond, construct_family
 from .invariants import trace_modulus
 from .state import (
     TwoQubitState,
@@ -145,8 +145,7 @@ class Rank2Degree:
 
 def degree_werner(x: float) -> float:
     """Closed form for Bell-chaos mixtures: 1 for x <= 1/3, else 3(1-x)/2."""
-    if not -1.0 / 3.0 - ROUNDING_TOL <= x <= 1.0 + ROUNDING_TOL:
-        raise ValueError(f"Werner weight must lie in [-1/3, 1], got {x}")
+    Werner(x)  # validates x
     if x <= 1.0 / 3.0:
         return 1.0
     return 1.5 * (1.0 - x)
@@ -165,9 +164,9 @@ def degree_werner_first(state: TwoQubitState, tol: float = DEFAULT_TOL) -> float
     at a loose ``tol`` can push it below 0.  ``tol`` decides s = t = 0 and
     validity.
     """
+    _require_state(state, tol, "degree_werner_first")
     if not _pauli_vectors_vanish(state, tol):
         raise PreconditionError("degree_werner_first requires s = t = 0")
-    _require_state(state, tol, "degree_werner_first")
     return _werner_first(state)[0]
 
 
@@ -202,10 +201,7 @@ def degree_werner_second(x: float, p: float) -> WernerSecondDegree:
     unimodal gap because the feasible interval pinches to a single point
     as x -> 1.
     """
-    if not -1.0 / 3.0 - ROUNDING_TOL <= x <= 1.0 + ROUNDING_TOL:
-        raise ValueError(f"mixing weight must lie in [-1/3, 1], got {x}")
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"pure-part parameter must lie strictly in (0, 1), got {p}")
+    WernerSecond(x, p)  # validates x and p
     q = math.sqrt(1.0 - p * p)
     if x <= 1.0 / (1.0 + 2.0 * q):
         return WernerSecondDegree(S=1.0, q0=None, p0=None)
@@ -300,9 +296,10 @@ def rank2_separable_pures(gamma1: float, gamma2: float):
     gamma1 > gamma2, one (x = (0, 0, 1)) for equal nonzero angles, and
     None for degenerate subspaces where every member state is separable.
     """
+    params = Rank2Params(gamma1, gamma2, 0.0, 0.0, 0.0)  # validates the angles
     if math.sin(gamma1) * math.cos(gamma2) <= ROUNDING_TOL:
         return None
-    theta = _rank2_theta(Rank2Params(gamma1, gamma2, 0.0, 0.0, 0.0))
+    theta = _rank2_theta(params)
     s2t, c2t = math.sin(2.0 * theta), math.cos(2.0 * theta)
     if s2t <= ROUNDING_TOL:
         return (Rank2Params(gamma1, gamma2, 0.0, 0.0, 1.0),)

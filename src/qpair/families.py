@@ -9,13 +9,13 @@ subspace that obey the Pauli algebra.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ._tolerances import DEFAULT_TOL, ROUNDING_TOL
-from .errors import ValidityError
-from .state import TENSOR, TwoQubitState, from_density_matrix, to_density_matrix
+from .classify import _require_state
+from .state import TENSOR, TwoQubitState, from_density_matrix
 
 __all__ = [
     "Chaotic",
@@ -52,10 +52,6 @@ def check_rotation(o, name: str = "rotation") -> np.ndarray:
     return o
 
 
-def _identity3():
-    return np.eye(3)
-
-
 @dataclass(frozen=True, eq=False)
 class Chaotic:
     """The maximally mixed state, s = t = 0, C = 0."""
@@ -63,12 +59,7 @@ class Chaotic:
 
 @dataclass(frozen=True, eq=False)
 class Bell:
-    """Maximally entangled pure state: s = t = 0, C = -o_en."""
-
-    o_en: np.ndarray = field(default_factory=_identity3)
-
-    def __post_init__(self):
-        object.__setattr__(self, "o_en", check_rotation(self.o_en, "o_en"))
+    """Maximally entangled pure state: s = t = 0, C = -1."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,27 +92,24 @@ class Werner:
     """
 
     x: float
-    o_en: np.ndarray = field(default_factory=_identity3)
 
     def __post_init__(self):
         if not -1.0 / 3.0 - ROUNDING_TOL <= self.x <= 1.0 + ROUNDING_TOL:
-            raise ValueError(f"x must lie in [-1/3, 1], got {self.x}")
-        object.__setattr__(self, "o_en", check_rotation(self.o_en, "o_en"))
+            raise ValueError(f"Werner weight x must lie in [-1/3, 1], got {self.x}")
 
 
 @dataclass(frozen=True, eq=False)
 class WernerFirst:
-    """First Werner generalization: s = t = 0, C = sign * o_en * diag(c).
+    """First Werner generalization: s = t = 0, C = sign * diag(c).
 
-    The characteristic values obey c1 >= c2 >= c3 >= 0; positivity of the
-    resulting operator is checked at construction time.
+    The characteristic values obey c1 >= c2 >= c3 >= 0; ``construct_family``
+    decides the positivity of the resulting operator.
     """
 
     sign: int
     c1: float
     c2: float
     c3: float
-    o_en: np.ndarray = field(default_factory=_identity3)
 
     def __post_init__(self):
         if self.sign not in (-1, 1):
@@ -131,7 +119,6 @@ class WernerFirst:
                 f"characteristic values must satisfy c1 >= c2 >= c3 >= 0, "
                 f"got ({self.c1}, {self.c2}, {self.c3})"
             )
-        object.__setattr__(self, "o_en", check_rotation(self.o_en, "o_en"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,7 +134,7 @@ class WernerSecond:
 
     def __post_init__(self):
         if not -1.0 / 3.0 - ROUNDING_TOL <= self.x <= 1.0 + ROUNDING_TOL:
-            raise ValueError(f"x must lie in [-1/3, 1], got {self.x}")
+            raise ValueError(f"mixing weight x must lie in [-1/3, 1], got {self.x}")
         if not 0.0 < self.p < 1.0:
             raise ValueError(f"p must lie strictly in (0, 1), got {self.p}")
 
@@ -204,11 +191,7 @@ def sigma_basis(gamma1: float, gamma2: float) -> np.ndarray:
     (traceless), satisfying Sigma_0 Sigma_k = Sigma_k and
     Sigma_j Sigma_k = delta_jk Sigma_0 + i sum_l eps_jkl Sigma_l.
     """
-    if not math.pi / 2 + ROUNDING_TOL >= gamma1 >= gamma2 >= -ROUNDING_TOL:
-        raise ValueError(
-            f"angles must satisfy pi/2 >= gamma1 >= gamma2 >= 0, "
-            f"got ({gamma1}, {gamma2})"
-        )
+    Rank2Params(gamma1, gamma2, 0.0, 0.0, 0.0)  # validates the angles
     s1, c1 = math.sin(gamma1), math.cos(gamma1)
     s2, c2 = math.sin(gamma2), math.cos(gamma2)
     out = np.empty((4, 4, 4), dtype=np.complex128)
@@ -273,7 +256,7 @@ def construct_family(spec) -> TwoQubitState:
     if isinstance(spec, Chaotic):
         return TwoQubitState(s=np.zeros(3), t=np.zeros(3), C=np.zeros((3, 3)))
     if isinstance(spec, Bell):
-        return TwoQubitState(s=np.zeros(3), t=np.zeros(3), C=-spec.o_en)
+        return TwoQubitState(s=np.zeros(3), t=np.zeros(3), C=-np.eye(3))
     if isinstance(spec, GenericPure):
         p = min(1.0, max(0.0, spec.p))
         q = spec.q
@@ -283,18 +266,12 @@ def construct_family(spec) -> TwoQubitState:
             C=np.diag([-1.0, -q, -q]),
         )
     if isinstance(spec, Werner):
-        return TwoQubitState(s=np.zeros(3), t=np.zeros(3), C=-spec.x * spec.o_en)
+        return TwoQubitState(s=np.zeros(3), t=np.zeros(3), C=-spec.x * np.eye(3))
     if isinstance(spec, WernerFirst):
-        c = spec.o_en @ np.diag([spec.c1, spec.c2, spec.c3]) * spec.sign
+        c = np.diag([spec.c1, spec.c2, spec.c3]) * spec.sign
         state = TwoQubitState(s=np.zeros(3), t=np.zeros(3), C=c)
         # Positivity is not automatic for arbitrary characteristic values.
-        eig_min = np.linalg.eigvalsh(to_density_matrix(state))[0]
-        if eig_min < -DEFAULT_TOL:
-            raise ValidityError(
-                f"characteristic values ({spec.c1}, {spec.c2}, {spec.c3}) with "
-                f"sign {spec.sign:+.0f} give minimum eigenvalue {eig_min:.6g} < 0",
-                min_eigenvalue=float(eig_min),
-            )
+        _require_state(state, DEFAULT_TOL, f"construct_family({spec!r})")
         return state
     if isinstance(spec, WernerSecond):
         pure = construct_family(GenericPure(spec.p))

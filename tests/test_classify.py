@@ -11,8 +11,11 @@ import pytest
 
 from qpair import (
     Bell,
+    GenericPure,
     NumericalInconsistencyError,
     PreconditionError,
+    Rank2Params,
+    RankTwo,
     TwoQubitState,
     Werner,
     construct_family,
@@ -75,6 +78,30 @@ def test_every_decision_rejects_a_non_finite_tol(tol):
     for m in (to_density_matrix(random_state(0)), non_hermitian):
         with pytest.raises(ValueError, match="nonnegative and finite"):
             from_density_matrix(m, tol=tol)
+
+
+_TOL_INPUTS = {
+    "is_state": lambda: random_state(0),
+    "is_entangled": lambda: random_state(0),
+    "is_separable": lambda: random_state(0),
+    "purity_rank": lambda: random_state(0),
+    "pure_canonical": lambda: construct_family(GenericPure(0.6)),
+    "rank2_canonical": lambda: construct_family(RankTwo(Rank2Params(1.0, 0.5, 0.3, -0.2, 0.4))),
+    "degree_werner_first": lambda: construct_family(Werner(0.5)),
+    "degree_rank2": lambda: Rank2Params(1.0, 0.5, 0.3, -0.2, 0.4),
+    "ls_optimize": lambda: random_state(0),
+    "degree": lambda: random_state(0),
+}
+
+
+@pytest.mark.parametrize("tol", [float("nan"), 0.0, -1e-9, float("inf")])
+@pytest.mark.parametrize("name", sorted(_TOL_INPUTS))
+def test_every_public_tol_must_be_positive_and_finite(name, tol):
+    # each input meets its function's precondition, so only tol can be at fault
+    import qpair
+
+    with pytest.raises(ValueError, match="tol"):
+        getattr(qpair, name)(_TOL_INPUTS[name](), tol=tol)
 
 
 def test_routes_agree_on_random_and_overscaled_states(rng):

@@ -41,6 +41,7 @@ from qpair import (
     random_state,
     rank2_separable_pures,
     serialize_state,
+    sigma_basis,
     to_density_matrix,
 )
 
@@ -142,6 +143,30 @@ def test_degree_werner_second_validation():
         degree_werner_second(0.5, 0.0)
 
 
+@pytest.mark.parametrize(
+    "closed_form, record, args",
+    [
+        (degree_werner, Werner, (1.2,)),
+        (degree_werner, Werner, (-0.34,)),
+        (degree_werner, Werner, (math.nan,)),
+        (degree_werner_second, WernerSecond, (1.1, 0.5)),
+        (degree_werner_second, WernerSecond, (0.5, 0.0)),
+        (degree_werner_second, WernerSecond, (0.5, math.nan)),
+        (sigma_basis, lambda g1, g2: Rank2Params(g1, g2, 0.0, 0.0, 0.0), (0.2, 0.5)),
+        (sigma_basis, lambda g1, g2: Rank2Params(g1, g2, 0.0, 0.0, 0.0), (2.0, 0.1)),
+    ],
+    ids=["werner-above", "werner-below", "werner-nan", "second-x", "second-p-zero",
+         "second-p-nan", "sigma-order", "sigma-range"],
+)
+def test_closed_forms_raise_their_records_message(closed_form, record, args):
+    # each family's domain is checked once, by its record
+    with pytest.raises(ValueError) as from_record:
+        record(*args)
+    with pytest.raises(ValueError) as from_closed_form:
+        closed_form(*args)
+    assert str(from_closed_form.value) == str(from_record.value)
+
+
 def test_degree_rank2_kind_a():
     rec = degree_rank2(Rank2Params(math.pi / 4, _G2, 0.0, 0.0, 0.0))
     assert rec.S == pytest.approx(2.0 / 3.0, abs=1e-12)
@@ -189,6 +214,11 @@ def test_rank2_separable_pures():
     assert len(only) == 1
     assert np.allclose(only[0].x, [0.0, 0.0, 1.0])
     assert rank2_separable_pures(0.0, 0.0) is None
+    # angles outside pi/2 >= gamma1 >= gamma2 >= 0 raise, also where
+    # sin(gamma1) cos(gamma2) vanishes
+    for angles in ((0.0, 0.5), (math.pi, 0.3), (0.2, 0.5)):
+        with pytest.raises(ValueError, match="angles must satisfy"):
+            rank2_separable_pures(*angles)
 
 
 def _check_decomposition(state, dec, atol=1e-8):

@@ -7,6 +7,7 @@ C = sign * diag(c) the spectrum is 1/4 (1 + sign * sum_a c_a chi_a) over
 those triples, which the tests spell out numerically.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -18,12 +19,15 @@ from qpair import (
     GenericPure,
     Rank2Params,
     RankTwo,
+    TwoQubitState,
     ValidityError,
     Werner,
     WernerFirst,
     WernerSecond,
+    apply_local,
     check_rotation,
     construct_family,
+    is_state,
     rank2_family_params,
     sigma_basis,
     to_density_matrix,
@@ -52,7 +56,7 @@ def test_bell_is_maximally_entangled_pure(rng):
     state = construct_family(Bell())
     assert np.allclose(state.C, -np.eye(3))
     assert np.allclose(np.sort(_eigs(state)), [0, 0, 0, 1], atol=1e-12)
-    rotated = construct_family(Bell(o_en=random_rotation(rng)))
+    rotated = apply_local(construct_family(Bell()), random_rotation(rng), np.eye(3))
     assert np.allclose(np.sort(_eigs(rotated)), [0, 0, 0, 1], atol=1e-12)
 
 
@@ -116,8 +120,39 @@ def test_werner_first_rejects_invalid_parameters():
 def test_werner_first_with_rotation_keeps_spectrum(rng):
     o = random_rotation(rng)
     plain = construct_family(WernerFirst(-1, 0.5, 0.3, 0.1))
-    rotated = construct_family(WernerFirst(-1, 0.5, 0.3, 0.1, o_en=o))
+    rotated = apply_local(construct_family(WernerFirst(-1, 0.5, 0.3, 0.1)), o, np.eye(3))
     assert np.allclose(np.sort(_eigs(rotated)), np.sort(_eigs(plain)), atol=1e-12)
+
+
+def test_werner_first_invalidity_is_the_positivity_pass_margin():
+    # construct_family decides positivity through the package's one positivity
+    # pass, so the error carries is_state's min_eigenvalue margin bit for bit
+    with pytest.raises(ValidityError) as excinfo:
+        construct_family(WernerFirst(-1, 0.8, 0.5, 0.2))
+    unvalidated = TwoQubitState(s=np.zeros(3), t=np.zeros(3), C=-np.diag([0.8, 0.5, 0.2]))
+    margin = is_state(unvalidated).margins["min_eigenvalue"]
+    assert np.float64(excinfo.value.min_eigenvalue).tobytes() == np.float64(margin).tobytes()
+
+
+@pytest.mark.parametrize("sign", [-1, 1])
+def test_werner_first_rotated_by_apply_local(rng, sign):
+    c = np.array([0.5, 0.3, 0.1])
+    for _ in range(5):
+        o = random_rotation(rng)
+        rotated = apply_local(construct_family(WernerFirst(sign, *c)), o, np.eye(3))
+        assert np.allclose(rotated.C, sign * o @ np.diag(c), rtol=0.0, atol=1e-15)
+        assert np.array_equal(rotated.s, np.zeros(3))
+        assert np.array_equal(rotated.t, np.zeros(3))
+
+
+def test_family_records_hold_only_their_parameters():
+    # a member is rotated with apply_local, so no record carries a rotation
+    def names(record):
+        return tuple(f.name for f in dataclasses.fields(record))
+
+    assert names(Bell) == ()
+    assert names(Werner) == ("x",)
+    assert names(WernerFirst) == ("sign", "c1", "c2", "c3")
 
 
 def test_werner_second_spectrum():
