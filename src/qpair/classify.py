@@ -80,14 +80,6 @@ def _check_agreement(inv_ok, mat_ok, inv_margins, mat_margin, tol, what):
     # boundary rounding: the conjunction below settles the decision
 
 
-def _positivity(state, tol):
-    """``is_state``'s verdict, from one positivity pass per state and ``tol``."""
-    if not 0.0 < tol < np.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol}")
-    decision, margins = _memo(state, ("positivity", tol), _positivity_pass, tol)
-    return Verdict(decision, dict(zip(_POSITIVITY_MARGINS, margins)))
-
-
 def _positivity_pass(state, tol):
     m1, m2, m3 = _quartic_margins(_invariants(state)[1])
     min_eig = float(_eigenvalues(state)[0])
@@ -105,12 +97,15 @@ def is_state(state: TwoQubitState, tol: float = DEFAULT_TOL) -> Verdict:
     is the smallest eigenvalue from the direct eigensolve.  The decision
     is the conjunction of both routes at ``tol``.
     """
-    return _positivity(state, tol)
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+    decision, margins = _memo(state, ("positivity", tol), _positivity_pass, tol)
+    return Verdict(decision, dict(zip(_POSITIVITY_MARGINS, margins)))
 
 
 def _require_state(state, tol, who):
     """The one validity decision: raise ``ValidityError`` unless ``state`` is a state."""
-    verdict = _positivity(state, tol)
+    verdict = is_state(state, tol)
     if not verdict.decision:
         raise ValidityError(
             f"{who} requires a valid state; positivity margins {dict(verdict.margins)}",

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import click
 import numpy as np
@@ -275,14 +275,14 @@ def expectations(state, tol):
     return {"rows": rows}
 
 
-_FAMILY_ARITY = {
-    "chaotic": (Chaotic, ()),
-    "bell": (Bell, ()),
-    "werner": (Werner, ("x",)),
-    "werner_first": (WernerFirst, ("sign", "c1", "c2", "c3")),
-    "werner_second": (WernerSecond, ("x", "p")),
-    "generic_pure": (GenericPure, ("p",)),
-    "rank_two": (lambda *x: RankTwo(Rank2Params(*x)), ("gamma1", "gamma2", "x1", "x2", "x3")),
+_FAMILY_RECORDS = {
+    "chaotic": Chaotic,
+    "bell": Bell,
+    "werner": Werner,
+    "werner_first": WernerFirst,
+    "werner_second": WernerSecond,
+    "generic_pure": GenericPure,
+    "rank_two": Rank2Params,
 }
 
 
@@ -290,7 +290,7 @@ _FAMILY_ARITY = {
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--rank", type=int, default=None, help="Target rank for sampling (1..4).")
 @click.option("--family", "family_name", default=None,
-              help=f"Exact family member: one of {', '.join(sorted(_FAMILY_ARITY))}.")
+              help=f"Exact family member: one of {', '.join(sorted(_FAMILY_RECORDS))}.")
 @click.option("--params", default=None, help="Comma-separated family parameters.")
 @click.option("--output", metavar="PATH", help="Write the StateFile here instead of stdout.")
 @click.option("--pretty", is_flag=True, help="Indent the JSON output.")
@@ -301,10 +301,10 @@ def random_cmd(seed, rank, family_name, params, output, pretty):
     # failure (exit 1), and exit 2 stays reserved for invalid states
     if rank is not None and not 1 <= rank <= 4:
         raise ValueError(f"--rank must be in 1..4, got {rank}")
-    if family_name is not None and family_name not in _FAMILY_ARITY:
+    if family_name is not None and family_name not in _FAMILY_RECORDS:
         raise ValueError(
             f"unknown family {family_name!r}; choose from "
-            f"{', '.join(sorted(_FAMILY_ARITY))}"
+            f"{', '.join(sorted(_FAMILY_RECORDS))}"
         )
     if family_name is None:
         if params is not None:
@@ -313,16 +313,16 @@ def random_cmd(seed, rank, family_name, params, output, pretty):
     else:
         if rank is not None:
             raise ValueError("--rank and --family are mutually exclusive")
-        record, names = _FAMILY_ARITY[family_name]
-        values = []
-        if params:
-            values = [float(v) for v in params.split(",")]
+        record = _FAMILY_RECORDS[family_name]
+        names = [field.name for field in fields(record)]
+        values = [float(v) for v in params.split(",")] if params else []
         if len(values) != len(names):
             raise ValueError(
                 f"family {family_name!r} needs --params with {len(names)} "
                 f"value(s): {', '.join(names) or '(none)'}"
             )
-        state = construct_family(record(*values))
+        member = record(*values)
+        state = construct_family(RankTwo(member) if record is Rank2Params else member)
     _write(serialize_state(state, pretty=pretty), output)
     sys.exit(0)
 
@@ -344,3 +344,7 @@ def run():
     except click.exceptions.Abort:
         sys.exit(1)
     sys.exit(code if isinstance(code, int) else 0)
+
+
+if __name__ == "__main__":
+    run()

@@ -33,7 +33,7 @@ from ._tolerances import (
     CROSS_CHECK_TOL, DEFAULT_TOL, EIGEN_FLOOR, FAMILY_EDGE, ORDER_SLACK, ROUNDING_TOL,
 )
 from .canonical import _rank2_frame
-from .classify import _require_state, is_separable
+from .classify import _require_state, is_separable, purity_rank
 from .errors import ConvergenceError, NumericalInconsistencyError, PreconditionError
 from .families import Chaotic, Rank2Params, RankTwo, Werner, WernerSecond, construct_family
 from .invariants import trace_modulus
@@ -494,7 +494,7 @@ def _hkm_step(wz, y, gap, linv, buf, sdp):
     return wz + step * buf, y + step[1, 0, 0, 0] * dy
 
 
-def _interior_point_split(rho, eigs, vecs, rank, tol):
+def _interior_point_split(rho, eigs, vecs, r, tol):
     """The certified best split of an entangled rank-3 or rank-4 state.
 
     S = max tr sigma over sigma >= 0, R(sigma) >= 0, rho - sigma >= 0
@@ -548,7 +548,6 @@ def _interior_point_split(rho, eigs, vecs, rank, tol):
     after _PD_ITERATIONS iterations.  A dual bound more than ORDER_SLACK
     below the split weight (plus the weight dropped at ``tol``) raises.
     """
-    r = rank
     v = vecs[:, 4 - r :]
     d = eigs[4 - r :]
     # eigenvalues at or below tol are zero for the solve; the split still
@@ -669,12 +668,11 @@ def ls_optimize(state: TwoQubitState, tol: float = DEFAULT_TOL) -> LSDecompositi
     rho = to_density_matrix(state)
     if is_separable(state, tol).decision:
         return _exact_split(1.0, state, rho, None)
-    return _entangled_split(rho, *np.linalg.eigh(rho), tol)
+    return _entangled_split(rho, *np.linalg.eigh(rho), purity_rank(state, tol).rank, tol)
 
 
-def _entangled_split(rho, eigs, vecs, tol):
-    """``ls_optimize``'s split of an entangled state from its ``eigh``."""
-    rank = int(np.sum(eigs > tol))
+def _entangled_split(rho, eigs, vecs, rank, tol):
+    """``ls_optimize``'s split of an entangled state from its ``eigh`` and ``purity_rank``."""
     if rank == 1:
         # entangled pure state: nothing separable remains
         return _exact_split(
@@ -715,10 +713,10 @@ def _route(state: TwoQubitState, tol: float):
     ``degree`` and CLI ``classify`` both decide here.  s = t = 0 gives
     (ClosedFormWernerFirst, None), chaos plus a pure state (ClosedFormWernerSecond,
     (x, p)), rank 2 (ClosedFormRank2, Rank2Params), anything else (Optimizer,
-    None).  One ``eigh`` serves the last two tests, decides the rank, gives
-    the rank-2 frame its support and is handed on as ``spectral`` =
-    (rho, eigs, vecs), None for s = t = 0.  No second rank decision runs, so
-    no disagreement with ``purity_rank``'s ``eigvalsh`` can raise here.
+    rank).  The rank is ``purity_rank``'s, so every caller counts it alike.
+    One ``eigh`` serves the chaos-plus-pure test, gives the rank-2 frame its
+    support and is handed on as ``spectral`` = (rho, eigs, vecs), None for
+    s = t = 0.
     """
     if _pauli_vectors_vanish(state, tol):
         return "ClosedFormWernerFirst", None, None
@@ -727,9 +725,10 @@ def _route(state: TwoQubitState, tol: float):
     detected = _detect_werner_second(*spectral)
     if detected is not None:
         return "ClosedFormWernerSecond", detected, spectral
-    if int(np.sum(spectral[1] > tol)) == 2:
+    rank = purity_rank(state, tol).rank
+    if rank == 2:
         return "ClosedFormRank2", _rank2_frame(state, spectral[2])[0], spectral
-    return "Optimizer", None, spectral
+    return "Optimizer", rank, spectral
 
 
 def degree(state: TwoQubitState, tol: float = DEFAULT_TOL) -> DegreeResult:
@@ -763,7 +762,7 @@ def degree(state: TwoQubitState, tol: float = DEFAULT_TOL) -> DegreeResult:
             )
         s_val, family_data = rec.S, {"pair_kind": rec.pair_kind, **asdict(data)}
     else:
-        dec = _entangled_split(*spectral, tol)
+        dec = _entangled_split(*spectral, data, tol)
         s_val, bound = dec.lambda_, dec.upper_bound
         family_data = {"upper_bound": bound, "gap": bound - s_val, "newton_steps": dec.newton_steps}
     return DegreeResult(S=s_val, method=method, decomposition=dec, family_data=family_data)

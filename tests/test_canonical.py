@@ -7,11 +7,13 @@ the quotiented symmetries, plus the frame reproducing the family state).
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from qpair import (
+    ConvergenceError,
     GenericPure,
     NumericalInconsistencyError,
     PreconditionError,
@@ -25,6 +27,7 @@ from qpair import (
     rank2_family_params,
     to_density_matrix,
 )
+from qpair._tolerances import CROSS_CHECK_TOL
 from qpair.canonical import (
     CanonicalForm,
     _matrix_rotvec,
@@ -110,6 +113,18 @@ def test_pure_canonical_detects_inconsistent_input(monkeypatch):
     bad = TwoQubitState(s=[0.5, 0, 0], t=[0.1, 0, 0], C=np.diag([1.0, 0.5, 0.5]))
     with pytest.raises(NumericalInconsistencyError, match=r"\|t\|"):
         pure_canonical(bad)
+
+
+def test_pure_canonical_detects_characteristic_values_off_one_q_q(monkeypatch):
+    # forge c = (1, q, q + 1e-6) for a pure state; the (1, q, q) check must raise
+    import qpair.canonical as canon
+
+    real = canon.diagonalize_cross
+    monkeypatch.setattr(
+        canon, "diagonalize_cross", lambda s: replace(real(s), c=real(s).c + [0.0, 0.0, 1e-6])
+    )
+    with pytest.raises(NumericalInconsistencyError, match="worst deviation 1.000e-06"):
+        pure_canonical(construct_family(GenericPure(0.35)))
 
 
 def _scrambled(par, rng):
@@ -244,6 +259,33 @@ def test_rank2_canonical_raises_on_unordered_angles(monkeypatch):
     state = TwoQubitState(*rank2_family_params(0.4, 1.1, 0.3, 0.25, 0.2))
     with pytest.raises(NumericalInconsistencyError, match="gamma2 = 1.1 above gamma1 = 0.4"):
         rank2_canonical(state)
+
+
+def test_rank2_frame_raises_when_no_frame_reaches_the_family_state(monkeypatch):
+    # shift every entry of the family vector the frame is matched against by
+    # 1e-3: no rotation pair reproduces it, so the residual must raise
+    import qpair.canonical as canon
+
+    real = canon.rank2_family_vector
+    monkeypatch.setattr(canon, "rank2_family_vector", lambda *p: [v + 1e-3 for v in real(*p)])
+    with pytest.raises(ConvergenceError) as err:
+        rank2_canonical(construct_family(RankTwo(Rank2Params(1.1, 0.7, 0.3, 0.25, 0.4))))
+    assert err.value.residual > CROSS_CHECK_TOL
+    assert f"residual {err.value.residual:.3e} above" in str(err.value)
+
+
+def test_rank2_frame_cross_checks_x_squared_against_the_invariants(monkeypatch):
+    # forge A2 by 4e-3, so (A2 - 2)/4 moves 1e-3 away from the recovered x^2
+    import qpair.canonical as canon
+
+    par = Rank2Params(1.1, 0.7, 0.3, 0.25, 0.4)
+    state = construct_family(RankTwo(par))
+    real = canon._invariants
+    glob = real(state)[1]
+    monkeypatch.setattr(canon, "_invariants", lambda s: (real(s)[0], replace(glob, A2=glob.A2 + 4e-3)))
+    with pytest.raises(NumericalInconsistencyError, match="recovered x\\^2") as err:
+        rank2_canonical(state)
+    assert str(err.value).endswith(f"(A2 - 2)/4 = {(glob.A2 + 4e-3 - 2.0) / 4.0:.12g}")
 
 
 def test_rank2_canonical_equal_angles(rng):

@@ -6,6 +6,8 @@ over random valid and over-scaled invalid states as a smaller in-process
 version of the acceptance sweeps.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -194,6 +196,20 @@ def test_purity_rank_detects_forged_spectrum(monkeypatch):
     monkeypatch.setattr(cls.np.linalg, "eigvalsh", forged)
     with pytest.raises(NumericalInconsistencyError, match="rank 1"):
         purity_rank(state)
+
+
+def test_purity_rank_detects_a_forged_rank_two_spectrum(monkeypatch):
+    # forge two nonzero eigenvalues for a rank-4 state: the quartic's value
+    # at kappa = 1, which is 256 det(rho), stays far from the zero that rank 2
+    # forces, and the subspace check must raise
+    import qpair.classify as cls
+
+    state = random_state(3)
+    value = 256.0 * float(np.prod(np.linalg.eigvalsh(to_density_matrix(state))))
+    monkeypatch.setattr(cls, "_eigenvalues", lambda s: np.array([0.0, 0.0, 0.5, 0.5]))
+    with pytest.raises(NumericalInconsistencyError, match="subspace") as err:
+        purity_rank(state)
+    assert float(re.search(r"value (\S+),", str(err.value)).group(1)) == pytest.approx(value, rel=1e-3)
 
 
 def test_route_disagreement_raises_when_not_boundary(monkeypatch):

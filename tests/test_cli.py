@@ -5,7 +5,8 @@ run the ``qpair`` console script's target, as bound in ``[project.scripts]``
 of ``pyproject.toml``, in a fresh interpreter on the qpair package under
 test: for the pipeline contract, for the usage-error remap that only the
 entry point does, and for reports that must not depend on what ran before
-them in-process.  No install is needed.
+them in-process; one runs ``python -m qpair.cli`` against the console script.
+No install is needed.
 """
 
 import dataclasses
@@ -667,6 +668,22 @@ def test_console_script_usage_error_exits_one():
     assert result.returncode == 1
     doc = json.loads(result.stdout)
     assert doc["error"]["type"] == "NoSuchOption"
+
+
+def test_module_entry_runs_the_console_script():
+    # python -m qpair.cli runs the same entry point as the console script
+    def run_module(*args):
+        return subprocess.run(
+            [sys.executable, "-m", "qpair.cli", *args], capture_output=True, text=True
+        )
+
+    emitted = run_module("random", "--family", "werner", "--params", "0.5")
+    assert emitted.returncode == 0, emitted.stderr
+    np.testing.assert_array_equal(parse_state(emitted.stdout).C, -0.5 * np.eye(3))
+    result = run_module("--definitely-not-an-option")
+    assert result.returncode == 1
+    script = _run_console_script("--definitely-not-an-option")
+    assert (result.stdout, result.returncode) == (script.stdout, script.returncode)
 
 
 @pytest.mark.parametrize("command", ["classify", "invariants"])

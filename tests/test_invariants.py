@@ -106,6 +106,31 @@ def test_det_entanglement_two_routes_agree(rng):
     assert det_entanglement(prod) == pytest.approx(0.0, abs=1e-15)
 
 
+def test_det_entanglement_raises_when_the_direct_determinant_disagrees(monkeypatch):
+    # forge the dyadic that the direct determinant reads; the invariant form
+    # det C - s.sub(C).t must refuse it rather than return either value
+    import qpair.invariants as inv
+
+    state = random_state(5)
+    real = inv.entanglement_dyadic
+    monkeypatch.setattr(inv, "entanglement_dyadic", lambda s: real(s) + 0.01 * np.eye(3))
+    direct = float(np.linalg.det(real(state) + 0.01 * np.eye(3)))
+    with pytest.raises(NumericalInconsistencyError) as err:
+        det_entanglement(state)
+    assert f"direct determinant {direct!r}" in str(err.value)
+
+
+def test_trace_modulus_raises_when_its_eigensolve_breaks_the_cubic(monkeypatch):
+    # forge the eigensolve of C^T C; its sum no longer matches tr(C^T C)
+    c = random_state(5).C
+    real = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: real(m) + np.array([0.0, 0.0, 0.01]))
+    want = float(np.trace(c.T @ c))
+    with pytest.raises(NumericalInconsistencyError, match="zeta sum") as err:
+        trace_modulus(c)
+    assert str(err.value).endswith(f"invariants give {want!r}")
+
+
 def test_trace_modulus_is_sum_of_singular_values(rng):
     for _ in range(10):
         c = rng.uniform(-1, 1, (3, 3))
