@@ -66,27 +66,27 @@ def _quartic_margins(glob: GlobalInvariants):
     )
 
 
-def _check_agreement(inv_ok, mat_ok, inv_margins, mat_margin, tol, what):
-    if inv_ok == mat_ok:
-        return
+def _decide(inv_margins, min_eig, tol, what):
+    """Conjunction of the invariant and eigensolve routes at ``tol``.
+
+    The routes may disagree only by boundary rounding; a disagreement with
+    both offending margins outside the clear band raises instead.
+    """
+    worst = min(inv_margins)
+    inv_ok, mat_ok = worst >= -tol, min_eig >= -tol
     band = _CLEAR_BAND_FACTOR * tol
-    inv_worst = min(inv_margins)
-    if abs(inv_worst) > band and abs(mat_margin) > band:
+    if inv_ok != mat_ok and abs(worst) > band and abs(min_eig) > band:
         raise NumericalInconsistencyError(
-            f"{what}: invariant inequalities give {inv_ok} (worst slack "
-            f"{inv_worst:.6e}) but the eigensolve gives {mat_ok} (margin "
-            f"{mat_margin:.6e})"
+            f"{what}: invariant inequalities give {inv_ok} (worst slack {worst:.6e}) "
+            f"but the eigensolve gives {mat_ok} (margin {min_eig:.6e})"
         )
-    # boundary rounding: the conjunction below settles the decision
+    return inv_ok and mat_ok
 
 
 def _positivity_pass(state, tol):
-    m1, m2, m3 = _quartic_margins(_invariants(state)[1])
+    inv_margins = _quartic_margins(_invariants(state)[1])
     min_eig = float(_eigenvalues(state)[0])
-    inv_ok = min(m1, m2, m3) >= -tol
-    mat_ok = min_eig >= -tol
-    _check_agreement(inv_ok, mat_ok, (m1, m2, m3), min_eig, tol, "positivity")
-    return inv_ok and mat_ok, (m1, m2, m3, min_eig)
+    return _decide(inv_margins, min_eig, tol, "positivity"), (*inv_margins, min_eig)
 
 
 def is_state(state: TwoQubitState, tol: float = DEFAULT_TOL) -> Verdict:
@@ -139,15 +139,13 @@ def is_separable(state: TwoQubitState, tol: float = DEFAULT_TOL) -> Verdict:
     """
     _require_state(state, tol, "is_separable")
     loc, glob = _invariants(state)
-    m1 = 1.0 + 16.0 * det_entanglement(state) - (glob.A2 - glob.A1 + glob.A0)
-    m2 = 4.0 + 16.0 * loc.a3_1 - (2.0 * glob.A2 - glob.A1)
-    reflected = reflect(state, "partial")
-    min_eig = float(np.linalg.eigvalsh(to_density_matrix(reflected))[0])
-
-    inv_ok = min(m1, m2) >= -tol
-    mat_ok = min_eig >= -tol
-    _check_agreement(inv_ok, mat_ok, (m1, m2), min_eig, tol, "separability")
-    return Verdict(inv_ok and mat_ok, dict(zip(_SEPARABILITY_MARGINS, (m1, m2, min_eig))))
+    inv_margins = (
+        1.0 + 16.0 * det_entanglement(state) - (glob.A2 - glob.A1 + glob.A0),
+        4.0 + 16.0 * loc.a3_1 - (2.0 * glob.A2 - glob.A1),
+    )
+    min_eig = float(np.linalg.eigvalsh(to_density_matrix(reflect(state, "partial")))[0])
+    decision = _decide(inv_margins, min_eig, tol, "separability")
+    return Verdict(decision, dict(zip(_SEPARABILITY_MARGINS, (*inv_margins, min_eig))))
 
 
 def purity_rank(state: TwoQubitState, tol: float = DEFAULT_TOL) -> PurityRank:

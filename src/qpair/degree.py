@@ -201,8 +201,7 @@ def degree_werner_second(x: float, p: float) -> WernerSecondDegree:
     unimodal gap because the feasible interval pinches to a single point
     as x -> 1.
     """
-    WernerSecond(x, p)  # validates x and p
-    q = math.sqrt(1.0 - p * p)
+    q = WernerSecond(x, p).q  # validates x and p
     if x <= 1.0 / (1.0 + 2.0 * q):
         return WernerSecondDegree(S=1.0, q0=None, p0=None)
     u = 0.5 * ((1.0 + 2.0 * q) * x - 1.0)

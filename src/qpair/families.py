@@ -28,7 +28,6 @@ __all__ = [
     "RankTwo",
     "construct_family",
     "sigma_basis",
-    "rank2_family_params",
     "check_rotation",
 ]
 
@@ -80,7 +79,8 @@ class GenericPure:
 
     @property
     def q(self) -> float:
-        return math.sqrt(max(0.0, 1.0 - min(1.0, self.p) ** 2))
+        p = min(1.0, self.p)
+        return math.sqrt(max(0.0, 1.0 - p * p))
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,7 +140,7 @@ class WernerSecond:
 
     @property
     def q(self) -> float:
-        return math.sqrt(1.0 - self.p**2)
+        return math.sqrt(1.0 - self.p * self.p)
 
 
 @dataclass(frozen=True)
@@ -236,19 +236,6 @@ def rank2_family_vector(gamma1, gamma2, x1, x2, x3):
         0.0, d - x3 * cc, x2 * s1,
         x1 * c1, x2 * c2, x3,
     ]
-
-
-def rank2_family_params(gamma1, gamma2, x1, x2, x3):
-    """Direct (s, t, C) arrays of the rank-2 generic form, bypassing matrices.
-
-    The angles may come in either order; a non-finite parameter raises
-    ``ValueError``.
-    """
-    for name, value in zip(("gamma1", "gamma2", "x1", "x2", "x3"), (gamma1, gamma2, x1, x2, x3)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} = {value} is not finite")
-    v = rank2_family_vector(gamma1, gamma2, x1, x2, x3)
-    return np.array(v[:3]), np.array(v[3:6]), np.array([v[6:9], v[9:12], v[12:]])
 
 
 def construct_family(spec) -> TwoQubitState:

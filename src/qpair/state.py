@@ -29,7 +29,6 @@ __all__ = [
     "ExpectationTable",
     "to_density_matrix",
     "from_density_matrix",
-    "reduced_states",
     "entanglement_dyadic",
     "product_state",
     "reflect",
@@ -190,11 +189,6 @@ def from_density_matrix(m, tol: float = DEFAULT_TOL) -> TwoQubitState:
         )
     coeff = np.einsum("ijkl,lk->ij", TENSOR, m).real
     return TwoQubitState(s=coeff[1:, 0], t=coeff[0, 1:], C=coeff[1:, 1:])
-
-
-def reduced_states(state: TwoQubitState):
-    """Pauli vectors (s, t) of the two single-qubit reductions."""
-    return state.s.copy(), state.t.copy()
 
 
 def entanglement_dyadic(state: TwoQubitState) -> np.ndarray:

@@ -24,7 +24,6 @@ from qpair import (
     pure_canonical,
     random_state,
     rank2_canonical,
-    rank2_family_params,
     to_density_matrix,
 )
 from qpair._tolerances import CROSS_CHECK_TOL
@@ -36,8 +35,15 @@ from qpair.canonical import (
     apply_local,
     diagonalize_cross,
 )
+from qpair.families import rank2_family_vector
 
 from conftest import random_rotation, scipy_reference
+
+
+def _family_state(*params):
+    # the rank-2 generic form from its closed-form vector, angles in any order
+    v = np.array(rank2_family_vector(*params))
+    return TwoQubitState(s=v[:3], t=v[3:6], C=v[6:].reshape(3, 3))
 
 
 def _reassemble(form: CanonicalForm):
@@ -239,7 +245,7 @@ def test_rank2_canonical_orders_swapped_angles():
     # The analytic first frame already orders the angles (its in-plane SVD
     # sorts the support projector's M block), so no swap step is needed.
     g1, g2, x1, x2, x3 = 0.4, 1.1, 0.3, 0.25, 0.2
-    state = TwoQubitState(*rank2_family_params(g1, g2, x1, x2, x3))
+    state = _family_state(g1, g2, x1, x2, x3)
     got, o_ee, o_nn = _canonical_frame(state)
     assert got.gamma1 == pytest.approx(g2, abs=1e-7)
     assert got.gamma2 == pytest.approx(g1, abs=1e-7)
@@ -256,7 +262,7 @@ def test_rank2_canonical_raises_on_unordered_angles(monkeypatch):
     import qpair.canonical as canon
 
     monkeypatch.setattr(canon, "_initial_frame", lambda pu, pv, pm: (np.eye(3), np.eye(3)))
-    state = TwoQubitState(*rank2_family_params(0.4, 1.1, 0.3, 0.25, 0.2))
+    state = _family_state(0.4, 1.1, 0.3, 0.25, 0.2)
     with pytest.raises(NumericalInconsistencyError, match="gamma2 = 1.1 above gamma1 = 0.4"):
         rank2_canonical(state)
 

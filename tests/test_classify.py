@@ -225,6 +225,22 @@ def test_route_disagreement_raises_when_not_boundary(monkeypatch):
         is_state(state)
 
 
+@pytest.mark.parametrize(
+    "x, forged", [(0.2, [-0.5, 0.5, 0.5, 0.5]), (0.9, [0.1, 0.2, 0.3, 0.4])]
+)
+def test_separability_route_disagreement_raises(monkeypatch, x, forged):
+    # Forge the reflected eigensolve (only is_separable builds a matrix
+    # through this module's binding; positivity reads the state's slot):
+    # a separable Werner state's reflection looks non-positive, an entangled
+    # one's positive, far from the boundary either way, and the shared rule
+    # must refuse to pick a side.
+    import qpair.classify as cls
+
+    monkeypatch.setattr(cls, "to_density_matrix", lambda state: np.diag(forged))
+    with pytest.raises(NumericalInconsistencyError, match="^separability"):
+        is_separable(construct_family(Werner(x)))
+
+
 def test_separability_margins_match_reflected_validity():
     # The two invariant separability slacks are the first two positivity
     # slacks of the reflected state; check numerically on a random state.

@@ -28,10 +28,10 @@ from qpair import (
     check_rotation,
     construct_family,
     is_state,
-    rank2_family_params,
     sigma_basis,
     to_density_matrix,
 )
+from qpair.families import rank2_family_vector
 
 from conftest import random_rotation
 
@@ -213,25 +213,13 @@ def test_sigma_basis_rejects_bad_angles():
 
 
 def test_rank2_closed_form_matches_matrix_route(rng):
+    # the closed-form vector is the target the rank-2 frame polish matches
     for _ in range(10):
         g2, g1 = np.sort(rng.uniform(0.0, math.pi / 2, 2))
         x = rng.uniform(-1, 1, 3)
         x *= rng.uniform(0, 1) / max(1.0, np.linalg.norm(x))
-        par = Rank2Params(g1, g2, *x)
-        state = construct_family(RankTwo(par))
-        s, t, c = rank2_family_params(g1, g2, *x)
-        assert np.allclose(state.s, s, atol=1e-12)
-        assert np.allclose(state.t, t, atol=1e-12)
-        assert np.allclose(state.C, c, atol=1e-12)
-
-
-@pytest.mark.parametrize("index", range(5))
-def test_rank2_family_params_rejects_non_finite_values(index):
-    names = ["gamma1", "gamma2", "x1", "x2", "x3"]
-    values = [0.5, 1.0, 0.3, 0.2, 0.1]  # gamma1 < gamma2 is accepted here
-    values[index] = math.nan
-    with pytest.raises(ValueError, match=f"^{names[index]} = nan"):
-        rank2_family_params(*values)
+        state = construct_family(RankTwo(Rank2Params(g1, g2, *x)))
+        assert np.allclose(state.as_vector(), rank2_family_vector(g1, g2, *x), atol=1e-12)
 
 
 def test_rank2_spectrum_is_half_one_plus_minus_x(rng):
